@@ -1,12 +1,13 @@
-"""Warm-analysis shm tier + streaming result arena: the PR-10 warm path.
+"""Warm-analysis shm tier: the analysis cache tier shared by sweep workers.
 
-Two workloads, both in the shape the ROADMAP's sweep-as-a-service story
-cares about — a warm process pool answering many provisioning queries.
+The workload is in the shape the ROADMAP's sweep-as-a-service story
+cares about — warm worker processes answering many provisioning
+queries.
 
 ``shm_cache_pool_{10k,2k}`` — the repeated-program ensemble: 320
 distinct programs (more than the in-process ``AnalysisCache`` LRU's 256
 entries, so cyclic revisits always miss memory) revisited round-robin
-for 10k pool jobs. Three legs over byte-identical jobs:
+for 10k jobs on two workers. Three legs over byte-identical jobs:
 
 * ``recompute`` — no disk cache, shm tier disabled: the pre-PR default
   for a zero-config multiprocess run. Every in-memory miss recomputes
@@ -22,29 +23,25 @@ for 10k pool jobs. Three legs over byte-identical jobs:
 The *asserted* >= 2x is the warm-analysis acquisition speedup
 (``warm_lookup_speedup_vs_disk``): the exact ``AnalysisCache.lookup`` +
 artifact-touch path a worker executes per job, timed on the same
-thrashed ensemble, shm tier vs disk tier. End-to-end pool rows/sec is
+thrashed ensemble, shm tier vs disk tier. End-to-end rows/sec is
 recorded for all three legs (``speedup_vs_disk``,
 ``speedup_vs_recompute``) but not held to 2x: on a single-core host
-(like the recording container) the pool cannot overlap anything, so
+(like the recording container) the workers cannot overlap anything, so
 every leg shares the simulation + job-pickle/unpickle floor and Amdahl
 caps the end-to-end ratio at ~1.1-1.7x no matter how cheap acquisition
 gets. ``cpu_count`` rides along so multi-core recordings — where
 workers overlap the floor and the acquisition share grows — stay
 interpretable.
 
-``shm_stream_{10k,2k}`` — the segmented result arena: 10k jobs fed to
-the shm backend as a *generator*, never materialized. Records rows/sec
-plus the arena's true peak shared-memory footprint
-(``max_live_segments`` x segment bytes) and the parent's ru_maxrss;
-asserts the peak stays at the in-flight window, not the sweep length.
+The record key keeps its historical ``pool`` name; the jobs run on the
+supervised multiprocess executor.
 
 Smoke mode (no ``REPRO_BENCH_RECORD``) shrinks every size and checks
-only correctness: byte-identical rows across the three legs, the shm
-arena fully populated, and the streaming peak bound.
+only correctness: byte-identical rows across the three legs and the
+shm arena fully populated.
 """
 
 import os
-import resource
 import time
 
 from conftest import recording_enabled
@@ -67,7 +64,6 @@ from repro.perf.shm_cache import (
     shm_cache_stats,
 )
 from repro.sweep import SimJob, SweepPlan, SweepSession
-from repro.sweep.arena import ROW_SIZE
 
 WORKERS = 2
 CHUNK = 64
@@ -112,10 +108,8 @@ def ensemble_jobs(programs, n_jobs: int) -> list[SimJob]:
     ]
 
 
-def run_pool(jobs):
-    plan = SweepPlan(
-        jobs=jobs, backend="pool", workers=WORKERS, chunk_size=CHUNK
-    )
+def run_workers(jobs):
+    plan = SweepPlan(jobs=jobs, workers=WORKERS, chunk_size=CHUNK)
     t0 = time.perf_counter()
     rows = list(SweepSession(plan).stream())
     return rows, time.perf_counter() - t0
@@ -142,7 +136,7 @@ def prewarm_entries(programs) -> None:
 def acquisition_wall(programs, n_lookups: int) -> float:
     """Wall time of ``n_lookups`` thrashed warm-analysis acquisitions.
 
-    This is the exact per-job path a pool worker executes: an
+    This is the exact per-job path a sweep worker executes: an
     ``AnalysisCache.lookup`` (an in-memory miss, by construction) that
     probes the active tiers, then the artifact touches the simulator
     build performs. Topology/router objects are prebuilt — their cost
@@ -160,82 +154,6 @@ def acquisition_wall(programs, n_lookups: int) -> float:
         entry.competing
         entry.capacities
     return time.perf_counter() - t0
-
-
-def test_streaming_shm_peak_rss(core_metrics, monkeypatch):
-    """Generator job stream through the shm backend: bounded peak memory.
-
-    Runs first in this module so the parent's ru_maxrss high-water mark
-    is read before the materialized ensemble legs inflate it.
-    """
-    import repro.sweep.arena as arena_mod
-
-    if recording_enabled():
-        n_jobs, tag = (2_000, "2k") if os.environ.get("CI") else (10_000, "10k")
-    else:
-        n_jobs, tag = 200, "smoke"
-
-    captured = []
-    real_create = arena_mod.SummaryArena.create.__func__
-
-    def recording_create(cls, n_rows, **kwargs):
-        arena = real_create(cls, n_rows, **kwargs)
-        captured.append(arena)
-        return arena
-
-    monkeypatch.setattr(
-        arena_mod.SummaryArena, "create", classmethod(recording_create)
-    )
-    monkeypatch.setenv(SHM_ENV_VAR, "0")  # isolate: result arena only
-
-    program = ensemble_program(0, k=4)
-
-    def jobs():
-        for _ in range(n_jobs):
-            yield SimJob(program, config=CONFIG, policy="fcfs")
-
-    try:
-        plan = SweepPlan(
-            jobs=jobs(), backend="shm", workers=WORKERS, chunk_size=CHUNK
-        )
-        t0 = time.perf_counter()
-        seen = 0
-        for row in SweepSession(plan).stream():
-            assert row.deadlocked
-            seen += 1
-        wall = time.perf_counter() - t0
-    finally:
-        reset_shm_cache_state()
-        clear_analysis_cache()
-
-    assert seen == n_jobs
-    [arena] = captured
-    segment_bytes = arena.segment_rows * ROW_SIZE
-    window_rows = (WORKERS * 2 + 1) * CHUNK
-    window_segments = -(-window_rows // arena.segment_rows) + 1
-    # Peak footprint is the in-flight window, not the sweep length.
-    assert arena.max_live_segments <= window_segments
-    if not recording_enabled():
-        return
-    core_metrics(
-        f"shm_stream_{tag}",
-        events=seen,
-        seconds=wall,
-        rows=n_jobs,
-        rows_per_sec=round(n_jobs / wall),
-        arena_peak_bytes=arena.max_live_segments * segment_bytes,
-        arena_peak_segments=arena.max_live_segments,
-        arena_total_segments=-(-n_jobs // arena.segment_rows),
-        ru_maxrss_mb=round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
-        ),
-        workers=WORKERS,
-    )
-    print(
-        f"[shm stream {tag}] {n_jobs/wall:.0f} rows/s, peak "
-        f"{arena.max_live_segments} live segment(s) of "
-        f"{-(-n_jobs // arena.segment_rows)} total"
-    )
 
 
 def test_warm_pool_ensemble(core_metrics, tmp_path):
@@ -262,7 +180,7 @@ def test_warm_pool_ensemble(core_metrics, tmp_path):
         clear_analysis_cache()
         acq["recompute"] = acquisition_wall(programs, acq_n)
         clear_analysis_cache()
-        rows_by_leg["recompute"], walls["recompute"] = run_pool(jobs)
+        rows_by_leg["recompute"], walls["recompute"] = run_workers(jobs)
 
         # disk: warm disk cache, shm still disabled.
         configure_disk_cache(tmp_path / "disk_tier")
@@ -271,7 +189,7 @@ def test_warm_pool_ensemble(core_metrics, tmp_path):
         clear_analysis_cache()
         acq["disk"] = acquisition_wall(programs, acq_n)
         clear_analysis_cache()
-        rows_by_leg["disk"], walls["disk"] = run_pool(jobs)
+        rows_by_leg["disk"], walls["disk"] = run_workers(jobs)
 
         # shm: the new tier above disk. Re-running the prewarm loop
         # pulls each entry out of the disk tier and publishes it into
@@ -285,7 +203,7 @@ def test_warm_pool_ensemble(core_metrics, tmp_path):
         clear_analysis_cache()
         acq["shm"] = acquisition_wall(programs, acq_n)
         clear_analysis_cache()
-        rows_by_leg["shm"], walls["shm"] = run_pool(jobs)
+        rows_by_leg["shm"], walls["shm"] = run_workers(jobs)
     finally:
         if saved_env is None:
             os.environ.pop(SHM_ENV_VAR, None)
@@ -337,7 +255,7 @@ def test_warm_pool_ensemble(core_metrics, tmp_path):
         cpu_count=os.cpu_count(),
     )
     print(
-        f"[shm cache {tag}] pool rows/s: recompute "
+        f"[shm cache {tag}] rows/s: recompute "
         f"{n_jobs/walls['recompute']:.0f}, disk {n_jobs/walls['disk']:.0f}, "
         f"shm {n_jobs/walls['shm']:.0f}; warm lookup "
         f"{acq['disk']/acq_n*1e6:.0f}us disk vs "

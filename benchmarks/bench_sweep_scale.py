@@ -1,29 +1,24 @@
-"""Sweep-backend throughput at scale: serial vs pool vs shm.
+"""Sweep throughput at scale: in-process vs supervised workers.
 
-The workload is the provisioning shape the shm backend exists for — a
-queue-rich configuration (many :class:`HardwareQueue` stats objects, a
-full assignment trace) whose *full* :class:`SimulationResult` costs
-about as much to pickle + unpickle through the pool pipe as the
-simulation itself costs to run. For a full-result sweep:
+The workload is a queue-rich provisioning configuration (many
+:class:`HardwareQueue` stats objects, a full assignment trace) whose
+*full* :class:`SimulationResult` costs about as much to pickle +
+unpickle through the worker pipe as the simulation itself costs to run.
+For a full-result sweep:
 
-* ``serial`` runs and materializes everything in-process (no pipe);
-* ``pool`` ships every full result back through the pipe — the
-  pipe-bound regime;
-* ``shm`` ships only 256-byte arena rows and hydrates full results on
-  demand (the bench hydrates a sample to price that path honestly).
+* ``workers=1`` runs and materializes everything in-process (no pipe);
+* ``workers=2`` runs supervised worker processes, which ship every full
+  result back through their pipes — the pipe-bound regime.
 
-Rows/sec per backend at 1k and 10k jobs is recorded into
-``BENCH_core.json`` (``sweep_rows_{backend}_{1k,10k}``), with
-``speedup_vs_pool`` on the shm records — the tentpole claim is shm
->= 2x pool on the 10k full-result sweep. Smoke mode (CI,
-``--benchmark-disable``) runs a small sweep and checks only the
-cross-backend row agreement.
+Rows/sec at 1k and 10k jobs is recorded into ``BENCH_core.json`` as
+``sweep_rows_{serial,pool}_{1k,10k}``; the record keys predate the
+single multiprocess executor, and ``pool`` names the ``workers=2`` path.
+Smoke mode (CI, ``--benchmark-disable``) runs a small sweep and checks
+only that both paths produce the same rows.
 
-Note the host caveat: on a single-core box (like the recording
-container) the pool's parallelism cannot hide any of its
-serialization, so the pool numbers here are a *floor* — on multi-core
-hosts pool closes part of the gap on sim time but its parent-side
-unpickle stays serialized, which is exactly the bottleneck shm removes.
+Note the host caveat: on a single-core box the workers' parallelism
+cannot hide any of the pipe's serialization, so the ``workers=2``
+numbers there are a *floor*.
 """
 
 import time
@@ -36,10 +31,9 @@ from repro.core.ops import R, W
 from repro.core.program import ArrayProgram
 from repro.sweep import SimJob, SweepPlan, SweepSession
 
-BACKENDS = ("serial", "pool", "shm")
-WORKERS = 2
+#: Record tag per worker count (see the module docstring).
+PATHS = {"serial": 1, "pool": 2}
 CHUNK = 64
-HYDRATE_SAMPLE = 10
 
 
 def chain_program(n_cells: int) -> ArrayProgram:
@@ -58,42 +52,28 @@ def sweep_jobs_for(n_jobs: int) -> list[SimJob]:
     # A queue-rich provisioning corner: 31 links x 48 queues puts ~1.5k
     # QueueStats objects in every result, so the full-result payload
     # (~86 KB pickled) costs roughly as much to ship + rebuild through
-    # the pool pipe as the simulation costs to run — the regime the
-    # arena removes. Chosen for measurement stability over maximum
-    # ratio.
+    # a worker pipe as the simulation costs to run. Chosen for
+    # measurement stability over maximum ratio.
     program = chain_program(32)
     config = ArrayConfig(queues_per_link=48)
     return [SimJob(program, config=config) for _ in range(n_jobs)]
 
 
-def run_full_result_sweep(backend: str, jobs):
+def run_full_result_sweep(path: str, jobs):
     """Consume a full-result sweep with bounded memory; return the rows.
 
     Every handle is touched the way a result-processing pipeline would
-    (summary fields), then dropped — so the pool backend's per-result
-    pipe cost is paid in full while results never accumulate.
+    (summary fields), then dropped — so the per-result pipe cost of the
+    workers is paid in full while results never accumulate.
     """
-    plan = SweepPlan(
-        jobs=jobs, backend=backend, workers=WORKERS, chunk_size=CHUNK
-    )
-    session = SweepSession(plan)
-    rows = []
-    sampled = 0
-    for handle in session.iter_handles():
-        rows.append(handle.summary)
-        if backend == "shm" and sampled < HYDRATE_SAMPLE:
-            # Price the on-demand hydration path honestly: the sampled
-            # results re-execute in-parent against the warm cache.
-            result = handle.result()
-            assert result.completed
-            sampled += 1
-    return rows
+    plan = SweepPlan(jobs=jobs, workers=PATHS[path], chunk_size=CHUNK)
+    return [handle.summary for handle in SweepSession(plan).iter_handles()]
 
 
-def _measure(backend: str, n_jobs: int):
+def _measure(path: str, n_jobs: int):
     jobs = sweep_jobs_for(n_jobs)
     t0 = time.perf_counter()
-    rows = run_full_result_sweep(backend, jobs)
+    rows = run_full_result_sweep(path, jobs)
     wall = time.perf_counter() - t0
     assert len(rows) == n_jobs
     assert all(row.completed for row in rows)
@@ -101,60 +81,46 @@ def _measure(backend: str, n_jobs: int):
 
 
 def test_backends_agree_smoke(benchmark):
-    """Cross-backend row agreement on a small sweep (runs everywhere)."""
-    per_backend = {}
-    for backend in BACKENDS:
-        per_backend[backend], _wall = _measure(backend, 3 * CHUNK)
-    assert per_backend["pool"] == per_backend["serial"]
-    assert per_backend["shm"] == per_backend["serial"]
-    benchmark(lambda: run_full_result_sweep("shm", sweep_jobs_for(CHUNK)))
+    """In-process and worker rows agree on a small sweep (runs everywhere)."""
+    per_path = {path: _measure(path, 3 * CHUNK)[0] for path in PATHS}
+    assert per_path["pool"] == per_path["serial"]
+    benchmark(lambda: run_full_result_sweep("pool", sweep_jobs_for(CHUNK)))
 
 
 def test_sweep_scale_rows_per_sec(core_metrics):
-    """Record rows/sec per backend at 1k and 10k full-result jobs."""
+    """Record rows/sec per path at 1k and 10k full-result jobs."""
     if not recording_enabled():
-        # Smoke mode: the agreement test above already exercised every
-        # backend; the 1k/10k timing sweeps only make sense when their
+        # Smoke mode: the agreement test above already exercised both
+        # paths; the 1k/10k timing sweeps only make sense when their
         # numbers are being recorded.
         return
     import os
 
     sizes = ((1_000, "1k"), (10_000, "10k"))
     if os.environ.get("CI"):
-        # The 10k sweep costs ~7 minutes of wall clock; CI's bench
-        # guard records the 1k family only (its 10k baseline records
-        # then read as "not measured", which the guard never fails on).
+        # The 10k sweep costs minutes of wall clock; CI's bench guard
+        # records the 1k family only (its 10k baseline records then
+        # read as "not measured", which the guard never fails on).
         sizes = sizes[:1]
     for n_jobs, tag in sizes:
         walls = {}
-        events = {}
         reference = None
-        for backend in BACKENDS:
-            rows, wall = _measure(backend, n_jobs)
-            walls[backend] = wall
-            events[backend] = sum(row.events for row in rows)
+        for path in PATHS:
+            rows, wall = _measure(path, n_jobs)
+            walls[path] = wall
             if reference is None:
                 reference = rows
             else:
-                assert rows == reference  # byte-identical across backends
-        for backend in BACKENDS:
-            extra = {}
-            if backend == "shm":
-                extra["speedup_vs_pool"] = round(
-                    walls["pool"] / walls["shm"], 2
-                )
+                assert rows == reference  # byte-identical across paths
             core_metrics(
-                f"sweep_rows_{backend}_{tag}",
-                events=events[backend],
-                seconds=walls[backend],
+                f"sweep_rows_{path}_{tag}",
+                events=sum(row.events for row in rows),
+                seconds=wall,
                 rows=n_jobs,
-                rows_per_sec=round(n_jobs / walls[backend]),
-                workers=WORKERS,
-                **extra,
+                rows_per_sec=round(n_jobs / wall),
+                workers=PATHS["pool"],
             )
         print(
-            f"[sweep {tag}] serial={n_jobs/walls['serial']:.0f} "
-            f"pool={n_jobs/walls['pool']:.0f} "
-            f"shm={n_jobs/walls['shm']:.0f} rows/s "
-            f"(shm {walls['pool']/walls['shm']:.2f}x pool)"
+            f"[sweep {tag}] workers=1: {n_jobs/walls['serial']:.0f} "
+            f"workers=2: {n_jobs/walls['pool']:.0f} rows/s"
         )

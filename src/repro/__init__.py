@@ -45,21 +45,18 @@ the literal op-by-op procedure. The knobs that matter at scale:
   ``REPRO_ANALYSIS_DISK_CACHE=/path/to/dir`` (or call
   :func:`repro.perf.configure_disk_cache`) and analyses persist across
   processes and sessions under the same content fingerprints, with
-  atomic writes and corruption-tolerant loads: pool workers and
+  atomic writes and corruption-tolerant loads: sweep workers and
   restarted sweeps skip re-analysis entirely.
-* **Pluggable sweep execution** — ensemble sweeps run through the
+* **Sweep execution** — ensemble sweeps run through the
   :mod:`repro.sweep` package: a :class:`repro.sweep.SweepPlan` (jobs +
-  grid labels + reducers + backend choice) executed by a
-  :class:`repro.sweep.SweepSession` over the ``serial``, ``pool``
-  (chunked multiprocessing) or ``shm`` backend — the latter writes
-  fixed-width :class:`repro.sweep.RunSummary` rows into a
-  ``multiprocessing.shared_memory`` arena and hydrates full results
-  only on demand, eliminating the per-result pickle round-trip that
-  makes million-run full-result sweeps pipe-bound.
-  :func:`repro.sweep.simulate_many` (deterministic merge order) and
-  :func:`repro.sweep.simulate_stream` (one O(1) summary row per job,
-  lazily) remain the stable entry points; ``repro sweep`` exposes the
-  whole subsystem on the command line (``--backend``, ``--stream``).
+  grid labels + reducers + execution knobs) executed by a
+  :class:`repro.sweep.SweepSession`, in-process for one worker and in
+  supervised worker processes (crash recovery, retries, per-job
+  timeouts) for more. :func:`repro.sweep.simulate_many` (deterministic
+  merge order) and :func:`repro.sweep.simulate_stream` (one O(1)
+  summary row per job, lazily) remain the stable entry points;
+  ``repro sweep`` exposes the whole subsystem on the command line
+  (``--workers``, ``--stream``).
 * **Streaming reducers with a merge contract** — completed counts,
   makespan histograms, deadlock rate by config, per-config makespan
   stats and t-digest makespan quantiles
@@ -119,15 +116,13 @@ from repro.perf import analysis_cache_stats, clear_analysis_cache
 from repro.sim import (
     FCFSPolicy,
     OrderedPolicy,
-    SimJob,
     SimulationResult,
     Simulator,
     StaticPolicy,
     compare_models,
     simulate,
-    simulate_many,
 )
-from repro.sweep import SweepPlan, SweepSession
+from repro.sweep import SimJob, SweepPlan, SweepSession, simulate_many
 
 __version__ = "1.0.0"
 

@@ -167,29 +167,47 @@ def _quantile_reducers(args) -> tuple:
     return (QuantileReducer(fractions), PerConfigMakespan())
 
 
-def _sweep_backend(args) -> str | None:
-    return None if args.backend == "auto" else args.backend
-
-
 def _fault_tolerance_kwargs(args) -> dict:
-    """The :class:`SweepPlan` knobs carried by the fault-tolerance flags."""
-    return dict(
+    """The :class:`SweepPlan` knobs carried by the fault-tolerance flags.
+
+    ``--job-timeout`` and ``--max-retries`` govern worker processes; at
+    ``--workers 1`` there is none to time out or retry, so asking for
+    them is a usage error rather than a silently ignored flag.
+    """
+    if args.workers == 1:
+        given = [
+            flag
+            for flag, value in (
+                ("--job-timeout", args.job_timeout),
+                ("--max-retries", args.max_retries),
+            )
+            if value is not None
+        ]
+        if given:
+            raise ConfigError(
+                f"{' and '.join(given)} need --workers 2 or more: "
+                "--workers 1 runs in-process, with no worker to time "
+                "out or retry"
+            )
+    kwargs = dict(
         job_timeout_s=args.job_timeout,
-        max_retries=args.max_retries,
         checkpoint=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
     )
+    if args.max_retries is not None:
+        kwargs["max_retries"] = args.max_retries
+    return kwargs
 
 
 def _interrupted(rows, args, store: WitnessStore | None = None) -> int:
     """Ctrl-C during a sweep: tear down cleanly, report, exit 130.
 
     Closing the stream generator unwinds every layer's ``finally``:
-    the supervised executor terminates its workers, the shm backend
-    unlinks its arena, and a checkpointed sweep writes one final
-    snapshot — so an interrupted run is immediately resumable. Mined
-    witnesses are durable progress too, so the store is saved as well.
+    the supervised executor terminates its workers and a checkpointed
+    sweep writes one final snapshot — so an interrupted run is
+    immediately resumable. Mined witnesses are durable progress too, so
+    the store is saved as well.
     """
     rows.close()
     if store is not None:
@@ -223,8 +241,8 @@ def _witness_report(store: WitnessStore | None, session) -> None:
 def _witness_json_fields(store: WitnessStore | None, session) -> dict:
     """Witness counters for ``--json`` payloads (empty without a store).
 
-    Mining happens inside pool/shm/supervised workers too, so the
-    counters are meaningful on every backend, not just serial.
+    Mining happens inside worker processes too, so the counters are
+    meaningful at any ``--workers``, not just in-process.
     """
     if store is None:
         return {}
@@ -272,7 +290,6 @@ def _cmd_sweep_stream(args, program, policies, queues, capacities) -> int:
     plan = SweepPlan(
         jobs=jobs,
         reducers=reducers,
-        backend=_sweep_backend(args),
         workers=args.workers,
         chunk_size=32,
         witness_store=store,
@@ -337,7 +354,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jobs=jobs,
         labels=labels,
         reducers=((outcomes,) if outcomes else ()) + extra_reducers,
-        backend=_sweep_backend(args),
         workers=args.workers,
         on_error="collect",
         witness_store=store,
@@ -409,7 +425,6 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         policies=policies,
         queues=queues,
         capacities=capacities,
-        backend=_sweep_backend(args),
         workers=args.workers,
         witness_store=store,
     )
@@ -560,14 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (1 = in-process with shared analysis cache)",
-    )
-    sweep.add_argument(
-        "--backend", choices=("auto", "serial", "pool", "shm"), default="auto",
-        help="execution backend: serial (in-process), pool (chunked "
-             "multiprocessing), shm (summary rows via a shared-memory "
-             "arena, full results hydrated on demand); auto picks serial "
-             "for --workers 1, pool otherwise",
+        help="worker processes: 1 runs in-process with a shared analysis "
+             "cache; 2 or more run supervised worker processes (a crashed "
+             "worker is replaced and its job retried, see --max-retries "
+             "and --job-timeout)",
     )
     sweep.add_argument(
         "--stream", action="store_true",
@@ -588,15 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEC",
         help="per-job wall-clock limit: a job running longer has its "
              "worker killed and is retried, then recorded as a timeout "
-             "row; engages fault-tolerant supervision (crashed workers "
-             "replaced, their jobs requeued) on pool/shm backends",
+             "row (needs --workers 2 or more)",
     )
     sweep.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
         help="extra attempts a job gets after crashing or hanging its "
              "worker before being quarantined as a WorkerCrash row "
-             "(defaults to 2 once supervision engages); also engages "
-             "fault-tolerant supervision",
+             "(default 2; needs --workers 2 or more)",
     )
     sweep.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -657,10 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     frontier.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for each probe round",
-    )
-    frontier.add_argument(
-        "--backend", choices=("auto", "serial", "pool", "shm"), default="auto",
-        help="execution backend for probe rounds (see 'repro sweep')",
     )
     frontier.add_argument(
         "--exhaustive", action="store_true",

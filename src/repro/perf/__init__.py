@@ -11,13 +11,13 @@ Lookups resolve through three tiers, cheapest first:
 1. **memory** — the process-local LRU (:class:`AnalysisCache`);
 2. **shm** — a single-host shared-memory arena
    (:mod:`repro.perf.shm_cache`) the sweep session publishes its warm
-   analyses into: pool workers attach once and resolve content
+   analyses into: sweep workers attach once and resolve content
    fingerprints with zero filesystem I/O, memoizing deserialized
    entries per process. Disable with ``REPRO_ANALYSIS_SHM_CACHE=0``;
 3. **disk** — the persistent tier (:mod:`repro.perf.disk_cache`):
    export ``REPRO_ANALYSIS_DISK_CACHE=/path/to/dir`` or call
    :func:`configure_disk_cache` and every process sharing that
-   directory — pool workers, restarted sweeps, separate sessions —
+   directory — sweep workers, restarted sweeps, separate sessions —
    reuses analyses computed by any other.
 """
 

@@ -9,7 +9,7 @@ fingerprints (program x topology x router x queue-provisioning bits):
 
 * **atomic writes** — entries are serialized to a temporary file in the
   cache directory and published with :func:`os.replace`, so concurrent
-  writers (pool workers racing on the same program) and crashed
+  writers (sweep workers racing on the same program) and crashed
   processes can never leave a half-written entry visible;
 * **format versioning** — every entry embeds :data:`FORMAT_VERSION` and
   its own :class:`~repro.perf.analysis_cache.AnalysisKey`; a version or
@@ -42,11 +42,12 @@ Enable it by exporting ``REPRO_ANALYSIS_DISK_CACHE=/path/to/dir`` (the
 directory is created on demand) or programmatically via
 :func:`configure_disk_cache`. :class:`~repro.sim.runtime.Simulator`
 persists entries after static analysis completes, and the sweep
-execution backends (:mod:`repro.sweep.backends`) replay the active
-configuration inside every worker process through their
+executor (:mod:`repro.sweep.backends`) replays the active
+configuration inside every worker process through its
 ``WorkerContext`` hook (see :func:`active_disk_cache_config`), so
-``simulate_many`` / ``simulate_stream`` share the tier across the whole
-pool whether it was configured by env var, by argument or by API call.
+``simulate_many`` / ``simulate_stream`` share the tier across all
+workers whether it was configured by env var, by argument or by API
+call.
 
 Entries are Python pickles: only point the cache at directories you
 trust, exactly as with any pickle-based artifact store.
@@ -376,12 +377,12 @@ def active_disk_cache() -> DiskAnalysisCache | None:
 def active_disk_cache_config() -> tuple[str, int | None] | None:
     """The active tier's ``(directory, max_bytes)``, or ``None``.
 
-    The worker-configuration hook of the sweep backends
+    The worker-configuration hook of the sweep executor
     (:class:`repro.sweep.backends.WorkerContext`) captures this in the
-    parent and replays it inside every pool worker, so a disk tier set
+    parent and replays it inside every sweep worker, so a disk tier set
     up programmatically via :func:`configure_disk_cache` — invisible to
-    child processes, unlike :data:`ENV_VAR` — is still shared by the
-    whole pool.
+    child processes, unlike :data:`ENV_VAR` — is still shared by every
+    worker.
     """
     cache = active_disk_cache()
     if cache is None:

@@ -310,9 +310,8 @@ class ShmAnalysisCache:
     def close(self) -> None:
         """Detach this process's mapping (the segment itself survives).
 
-        Same resource-tracker discipline as the sweep arena
-        (:meth:`repro.sweep.arena.SummaryArena.close`): attachments only
-        ever ``close()``; the owning parent alone ``unlink()``s.
+        Resource-tracker discipline: attachments only ever ``close()``;
+        the owning parent alone ``unlink()``s.
         """
         self._shm.close()
 

@@ -10,7 +10,7 @@ labeling) are shared across simulators through the content-keyed cache in
 :mod:`repro.perf` — repeated simulations of the same program pay for them
 once. With ``REPRO_ANALYSIS_DISK_CACHE`` (or
 :func:`repro.perf.configure_disk_cache`) the analyses additionally
-persist to a cross-process disk tier, so pool workers and restarted
+persist to a cross-process disk tier, so sweep workers and restarted
 sweep sessions skip re-analysis entirely. Custom router/topology
 subclasses are automatically excluded from sharing unless they expose an
 ``analysis_fingerprint`` token (see :mod:`repro.perf.analysis_cache`);

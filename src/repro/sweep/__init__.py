@@ -11,93 +11,45 @@ is the execution subsystem for those sweeps, split along three axes:
   :func:`~repro.sweep.grid.sweep_jobs` /
   :func:`~repro.sweep.grid.iter_sweep_jobs` (the canonical
   policy x queues x capacity grid with aligned labels);
-* **how to run it** — an execution *backend*
-  (:mod:`repro.sweep.backends`), chosen per
-  :class:`~repro.sweep.plan.SweepPlan` and driven by a
-  :class:`~repro.sweep.plan.SweepSession`;
+* **how to run it** — in-process for one worker, supervised worker
+  processes (:mod:`repro.sweep.backends.supervise`) for more, driven by
+  a :class:`~repro.sweep.plan.SweepSession` from a
+  :class:`~repro.sweep.plan.SweepPlan`;
 * **what to keep** — flat :class:`~repro.sweep.summary.RunSummary` rows
   (one per job, constant size), streaming reducers
   (:mod:`repro.sweep.reducers`) with an exact ``merge`` contract, and
   on-demand full results via :class:`~repro.sweep.plan.ResultHandle`.
 
-The backend contract
---------------------
+The executor contract
+---------------------
 
-A backend (see :class:`repro.sweep.backends.ExecutionBackend`) maps an
-iterable of jobs to an *ordered* stream of
-``(index, row, result, witness)`` records
+An executor (see :mod:`repro.sweep.backends`) maps an iterable of jobs
+to an *ordered* stream of ``(index, row, result, witness)`` records
 (:class:`~repro.sweep.backends.JobRecord`):
 
 * records arrive in job order, whatever the worker scheduling;
 * ``row`` — the job's :class:`~repro.sweep.summary.RunSummary` — must
-  be **byte-identical across backends** for the same job list; the
-  transport (pipe, shared memory) may differ, the row may not;
-* ``result`` is the full simulation result when the backend
-  materializes results eagerly, else ``None`` and the session hydrates
-  on demand (deterministic in-parent re-execution);
+  be **byte-identical** between in-process and multiprocess execution
+  for the same job list;
+* ``result`` is the full simulation result when results were requested
+  (in-process execution always attaches it), else ``None``;
 * ``witness`` is a compact deadlock-certificate dict
   (:meth:`~repro.witness.DeadlockWitness.as_dict`) mined *inside the
   worker* when the session asked for it
   (``WorkerContext.mine_witnesses``) and the job deadlocked, else
-  ``None`` — so summary-only backends warm the witness store at full
-  speed without shipping full results; the parent merges under the
-  store's subsumption rules;
+  ``None`` — so summary-only multiprocess streams warm the witness
+  store at full speed without shipping full results; the parent merges
+  under the store's subsumption rules;
 * worker processes apply the session's
   :class:`~repro.sweep.backends.WorkerContext` — the persistent
-  analysis disk tier, the single-host shared-memory analysis arena
+  analysis disk tier, the single-host shared-memory analysis tier
   (:mod:`repro.perf.shm_cache`), the mining flag, and any fault plan —
   before running jobs.
 
-Built-in backends:
-
-======== ==============================================================
-serial   In-process, in order. The reference implementation: every
-         other backend's rows are differential-tested against it.
-pool     Chunked ``multiprocessing.Pool`` with a bounded, ordered
-         ``apply_async`` window. Full results (when requested) are
-         pickled back through the pool pipe — exact, but pipe-bound for
-         large full-result sweeps.
-shm      Workers encode rows into a ``multiprocessing.shared_memory``
-         arena; only string-overflow rows (pathological error
-         messages) ride the pipe. Full results are never shipped:
-         handles re-execute on demand. Accepts lazy job streams —
-         generator input is pulled incrementally, never materialized.
-         The backend for sweeps where shipping every full result is
-         the bottleneck.
-======== ==============================================================
-
-The arena layout
-----------------
-
-The ``shm`` backend's arena (:class:`~repro.sweep.arena.SummaryArena`)
-is a *segmented* sequence of fixed-width slots of
-:data:`~repro.sweep.arena.ROW_SIZE` (256) bytes, one per job, written by
-whichever worker ran that job (slots are disjoint — no locks) and
-decoded directly by the parent. Segments of
-:data:`~repro.sweep.arena.DEFAULT_SEGMENT_ROWS` slots are separate
-shared-memory blocks named ``{base}_s{k}`` (segment 0 keeps the base
-name), allocated on demand by the owner as the job stream advances
-(``ensure_rows``) and unlinked once every slot in them has been drained
-(``retire_below``) — so a streaming sweep's resident shared memory is
-bounded by the in-flight window, not the grid size, and ``n_jobs``
-never needs to be known up front. Workers attach lazily, mapping only
-the segments their chunks actually touch. Within a segment each slot
-is::
-
-    offset  size  field
-    ------  ----  -----------------------------------------------
-         0     1  flags (WRITTEN | COMPLETED | DEADLOCKED |
-                  TIMED_OUT | HAS_KIND | HAS_ERROR)
-         1     8  time       (int64)        9     8  events (int64)
-        17     8  words      (int64)       25     4  queues (int32)
-        29     4  capacity   (int32)
-        33  1+23  policy     (len byte + utf-8, max 23 bytes)
-        57  1+31  error_kind (len byte + utf-8, max 31 bytes)
-        89  2+165 error      (len u16 + utf-8, max 165 bytes)
-
-Strings that exceed their field fall back to the pipe (never truncated);
-an unwritten slot raises on decode instead of reading as a row of
-zeros. See :mod:`repro.sweep.arena`.
+The supervised executor pulls the job stream lazily, a bounded window
+of chunks ahead of the consumer, so a generator feed is never
+materialized; each worker ships a finished chunk's rows back in one
+pipe message.
 
 Reducers and quantiles
 ----------------------
@@ -116,17 +68,19 @@ Fault tolerance and checkpointing
 ---------------------------------
 
 A sweep that runs for hours meets real failures: workers die (OOM
-kills), corners hang, the whole process gets SIGKILLed. Setting any of
-``job_timeout_s`` / ``max_retries`` / ``fault_plan`` on a
-:class:`~repro.sweep.plan.SweepPlan` (CLI: ``--job-timeout``,
-``--max-retries``) routes the ``pool`` and ``shm`` backends through the
-supervised executor (:mod:`repro.sweep.backends.supervise`), which owns
-worker lifecycles directly — one duplex pipe per worker, so a dead
-worker is an EOF, not a deadlock:
+kills), corners hang, the whole process gets SIGKILLed. Every sweep
+with ``workers >= 2`` runs under the supervised executor
+(:mod:`repro.sweep.backends.supervise`), which owns worker lifecycles
+directly — one duplex pipe per worker, so a dead worker is an EOF, not
+a deadlock. Its policy comes from ``max_retries`` (default 2) and
+``job_timeout_s`` (default none) on the
+:class:`~repro.sweep.plan.SweepPlan` (CLI: ``--max-retries``,
+``--job-timeout``, which need ``--workers`` of at least 2):
 
-* a **crashed worker** (abrupt exit, broken pipe, unwritten arena slot)
-  has its in-flight job requeued on a surviving worker with bounded
-  retries and exponential backoff; a job that keeps killing workers is
+* a **crashed worker** (abrupt exit, broken pipe) has its in-flight job
+  — the one named in the worker's shared "current job" slot — requeued
+  with bounded retries and exponential backoff, and the rest of its
+  chunk requeued without charge; a job that keeps killing workers is
   quarantined as a :class:`~repro.sweep.jobs.BatchError` row of kind
   :data:`~repro.sweep.jobs.WORKER_CRASH_KIND` (under
   ``on_error="collect"``) instead of aborting the sweep;
@@ -164,9 +118,9 @@ capacity band is exactly the set of capacities whose run replays the
 witnessed trace. Pruning is restricted to
 :data:`~repro.sweep.planner.MONOTONE_POLICIES` (static); FCFS — where
 extra buffering can change the outcome, a pinned counterexample — is
-exempt by construction and always simulates. Mining runs in-process on
-the serial backend and *inside the workers* on pool/shm/supervised
-(the ``witness`` field of the backend contract), so cold multiprocess
+exempt by construction and always simulates. Mining runs in the parent
+for in-process sweeps and *inside the workers* otherwise (the
+``witness`` field of the executor contract), so cold multiprocess
 sweeps grow the store too. Skips and newly mined certificates are
 counted on the session (``witness_pruned`` / ``witness_mined``; both
 surface in ``repro sweep --json``), compose with
@@ -189,7 +143,7 @@ probes instead of n) and falls back to full evaluation for the rest
 counterexample). Every probe is an ordinary
 :class:`~repro.sweep.plan.SweepPlan` job whose
 :class:`~repro.sweep.summary.RunSummary` row carries its exhaustive-grid
-index, so reducers and backends compose unchanged and a planner row is
+index, so reducers and executors compose unchanged and a planner row is
 byte-identical to the grid's row at the same coordinates. Probe points
 share capacity-independent analysis artifacts (routes,
 competing-message sets) through the analysis cache, so only the
@@ -197,15 +151,7 @@ capacity-dependent work is repaid per probe. CLI: ``repro frontier``
 (``--exhaustive`` forces the full evaluation baseline).
 """
 
-from repro.sweep.arena import ROW_SIZE, SummaryArena
-from repro.sweep.backends import (
-    ExecutionBackend,
-    JobRecord,
-    WorkerContext,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.sweep.backends import JobRecord, WorkerContext
 from repro.sweep.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.sweep.fault import FaultPlan, Tolerance
 from repro.sweep.grid import (
@@ -256,7 +202,6 @@ __all__ = [
     "BatchError",
     "CompletedCount",
     "DeadlockRateByConfig",
-    "ExecutionBackend",
     "FaultPlan",
     "FrontierPlanner",
     "FrontierReport",
@@ -267,12 +212,10 @@ __all__ = [
     "PerConfigMakespan",
     "PlanSpec",
     "QuantileReducer",
-    "ROW_SIZE",
     "ResultHandle",
     "RunSummary",
     "SimJob",
     "StreamReducer",
-    "SummaryArena",
     "SweepCheckpoint",
     "SweepOutcome",
     "SweepPlan",
@@ -280,16 +223,13 @@ __all__ = [
     "Tolerance",
     "WORKER_CRASH_KIND",
     "WorkerContext",
-    "available_backends",
     "exhaustive_spec",
     "find_frontier",
-    "get_backend",
     "iter_sweep_jobs",
     "iter_sweep_labels",
     "job_fingerprint",
     "merge_reducers",
     "parse_quantiles",
-    "register_backend",
     "simulate_many",
     "simulate_stream",
     "summarize_result",

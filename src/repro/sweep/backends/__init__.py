@@ -1,50 +1,47 @@
-"""Execution backends: how a sweep's jobs actually run.
+"""Execution: how a sweep's jobs actually run.
 
-The backend contract
---------------------
+There are two executors, and the worker count picks between them:
+``workers == 1`` runs every job in the current process, in order
+(:func:`run_in_process`, the reference every multiprocess run is
+differential-tested against); ``workers >= 2`` runs them in supervised
+worker processes (:class:`repro.sweep.backends.supervise.Supervisor`).
 
-A backend turns an iterable of :class:`~repro.sweep.jobs.SimJob` into an
-ordered stream of :class:`JobRecord` tuples ``(index, row, result,
+The executor contract
+---------------------
+
+An executor turns an iterable of :class:`~repro.sweep.jobs.SimJob` into
+an ordered stream of :class:`JobRecord` tuples ``(index, row, result,
 witness)``:
 
 * records MUST be yielded in job order (index 0, 1, 2, ...);
 * ``row`` is the job's :class:`~repro.sweep.summary.RunSummary` and MUST
-  be byte-identical across backends for the same job list — backends
-  may move rows through any transport (pipe, shared memory) but never
-  alter them;
+  be byte-identical between in-process and multiprocess execution for
+  the same job list;
 * ``result`` is the full :class:`~repro.sim.result.SimulationResult`
   (or :class:`~repro.sweep.jobs.BatchError`) when ``want_results`` is
-  set *and* the backend materializes results eagerly, else ``None`` —
-  the session then hydrates on demand through a
-  :class:`~repro.sweep.plan.ResultHandle`. A backend MAY attach the
-  result even when ``want_results`` is unset if it costs nothing (the
-  serial backend always does: the result exists in-process anyway) —
-  the session uses such free results opportunistically, e.g. to mine
-  deadlock witnesses off a streamed run — but consumers MUST NOT rely
-  on it: multiprocess backends ship ``None`` on the summary-only path;
+  set. An executor MAY attach the result even when ``want_results`` is
+  unset if it costs nothing (in-process execution always does: the
+  result exists there anyway) — the session uses such free results
+  opportunistically, e.g. to mine deadlock witnesses off a streamed run
+  — but consumers MUST NOT rely on it: worker processes ship ``None``
+  on the summary-only path;
 * ``witness`` is the worker-side mining hook: with
-  ``WorkerContext.mine_witnesses`` set, multiprocess workers mine each
-  deadlocked result *in the worker* (where the full result exists
-  anyway) via :func:`~repro.sweep.jobs.mine_witness_payload` and attach
-  the compact certificate dict — the parent merges it into the witness
-  store under the usual two-way subsumption, so summary-only streams
-  mine at full speed too. Backends that ship the full ``result`` MAY
-  leave ``witness`` ``None`` (the parent mines from the result); a
-  record never needs both;
+  ``WorkerContext.mine_witnesses`` set, workers mine each deadlocked
+  result *in the worker* (where the full result exists anyway) via
+  :func:`~repro.sweep.jobs.mine_witness_payload` and attach the compact
+  certificate dict — the parent merges it into the witness store under
+  the usual two-way subsumption, so summary-only streams mine at full
+  speed too. A record that carries the full ``result`` MAY leave
+  ``witness`` ``None`` (the parent mines from the result); a record
+  never needs both;
 * with ``collect_errors`` unset, the first failing job's exception MUST
   propagate to the consumer (no silent loss);
 * worker processes MUST apply the :class:`WorkerContext` before running
   jobs, so per-process state (the analysis disk-cache tier, the fault
   plan of the deterministic injection harness) matches the parent;
-* a non-``None`` ``tolerance`` argument asks for fault-tolerant
-  execution — multiprocess backends route through the supervised
-  executor (:mod:`repro.sweep.backends.supervise`: crash recovery,
-  per-job wall-clock timeouts, bounded retries with backoff, poison-job
-  quarantine) and must still satisfy every clause above.
-
-Backends register under a short name (``serial``, ``pool``, ``shm``)
-via :func:`register_backend`; :func:`get_backend` resolves names for
-:class:`~repro.sweep.plan.SweepSession`.
+* the supervisor takes a :class:`~repro.sweep.fault.Tolerance` policy
+  (retries, per-job timeout, backoff); in-process execution has no
+  worker to lose, time out or retry, so it takes none.
 """
 
 from __future__ import annotations
@@ -52,11 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from repro.errors import ConfigError
 from repro.sweep import fault as fault_mod
-from repro.sweep.fault import FaultPlan, Tolerance
-from repro.sweep.jobs import BatchError, SimJob
-from repro.sweep.summary import RunSummary
+from repro.sweep.fault import FaultPlan
+from repro.sweep.jobs import BatchError, SimJob, run_job
+from repro.sweep.summary import RunSummary, summarize_result
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.sim.result import SimulationResult
@@ -67,8 +63,8 @@ class JobRecord(NamedTuple):
 
     ``witness`` is a compact :meth:`~repro.witness.certificate.
     DeadlockWitness.as_dict` payload mined inside a worker (see the
-    backend contract above); ``None`` whenever mining is off, the job
-    did not deadlock, or the backend ships the full ``result`` instead.
+    executor contract above); ``None`` whenever mining is off, the job
+    did not deadlock, or the record carries the full ``result`` instead.
     """
 
     index: int
@@ -79,20 +75,18 @@ class JobRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class WorkerContext:
-    """Per-process configuration a backend replays inside its workers.
+    """Per-process configuration replayed inside every worker.
 
-    This is the worker-configuration hook that used to be a hard-coded
-    ``disk_cache`` parameter threaded through ``simulate_many``: the
-    session captures it once, every backend applies it in each worker
-    (and in the parent), and future per-process knobs extend this
-    dataclass instead of every backend's signature.
+    The session captures it once and applies it in the parent; each
+    worker applies it before running jobs. Future per-process knobs
+    extend this dataclass instead of every executor's signature.
     """
 
     disk_cache: str | None = None
     disk_cache_max_bytes: int | None = None
     fault_plan: FaultPlan | None = None
     crossing_backend: str | None = None
-    #: Mine deadlock witnesses inside workers (see the backend contract:
+    #: Mine deadlock witnesses inside workers (see the executor contract:
     #: the full result exists there anyway, so mining is free) and ship
     #: the compact dicts back on each :class:`JobRecord`.
     mine_witnesses: bool = False
@@ -114,7 +108,7 @@ class WorkerContext:
 
         An explicit ``disk_cache`` wins; otherwise a programmatically
         configured disk tier (:func:`repro.perf.disk_cache.
-        configure_disk_cache`) is forwarded so pool workers share it.
+        configure_disk_cache`) is forwarded so workers share it.
         The crossing-backend preference follows the same rule: a
         parent-process :func:`repro.core.crossing.
         configure_crossing_backend` call is forwarded so every worker
@@ -176,61 +170,16 @@ class WorkerContext:
         fault_mod.install(self.fault_plan)
 
 
-class ExecutionBackend:
-    """Base class every execution backend implements."""
-
-    name = "backend"
-
-    def execute(
-        self,
-        jobs: Iterable[SimJob],
-        *,
-        want_results: bool,
-        collect_errors: bool,
-        workers: int,
-        chunk_size: int,
-        ctx: WorkerContext,
-        tolerance: Tolerance | None = None,
-    ) -> Iterator[JobRecord]:  # pragma: no cover - abstract
-        """Run every job; yield :class:`JobRecord` in job order.
-
-        A non-``None`` ``tolerance`` asks for fault-tolerant execution:
-        multiprocess backends route through the supervised executor
-        (:mod:`repro.sweep.backends.supervise`) — crash recovery,
-        per-job timeouts, bounded retries — while the serial backend,
-        which has no worker processes to lose, ignores it.
-        """
-        raise NotImplementedError
-
-
-_BACKENDS: dict[str, type[ExecutionBackend]] = {}
-
-
-def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-    """Class decorator: register ``cls`` under its ``name``."""
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    _load_builtins()
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    """Instantiate the backend registered under ``name``."""
-    _load_builtins()
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS))
-        raise ConfigError(
-            f"unknown execution backend {name!r} (known: {known})"
-        ) from None
-    return cls()
-
-
-def _load_builtins() -> None:
-    # Importing the modules runs their @register_backend decorators.
-    from repro.sweep.backends import pool, serial, shm  # noqa: F401
+def run_in_process(
+    jobs: Iterable[SimJob], collect_errors: bool, ctx: WorkerContext
+) -> Iterator[JobRecord]:
+    """Run every job in this process, in order (``workers == 1``)."""
+    ctx.apply()
+    # The full result is attached even when the caller did not ask for
+    # results: it already exists in-process (nothing is shipped or
+    # retained — the consumer drops it with the record), and the
+    # session's witness miner reads deadlock diagnoses off streamed
+    # records for free because of it.
+    for index, job in enumerate(jobs):
+        result = run_job(job, collect_errors)
+        yield JobRecord(index, summarize_result(index, job, result), result)

@@ -1,10 +1,8 @@
-"""Supervised fault-tolerant execution shared by the pool and shm backends.
+"""The multiprocess executor: supervised worker processes.
 
-The plain pool/shm fast paths assume every worker lives forever: a dead
-worker hangs the drain window, and an unwritten arena slot raises in the
-parent. This module is the execution path for sweeps that cannot afford
-that assumption — million-job provisioning runs where a single OOM-killed
-worker or one hung corner must cost one retry, not the sweep.
+Every sweep with ``workers >= 2`` runs here. Million-job provisioning
+runs meet real failures — an OOM-killed worker, one hung corner — and
+each must cost one retry, not the sweep.
 
 Design
 ------
@@ -12,42 +10,47 @@ Design
 One parent supervisor drives ``workers`` long-lived child processes,
 each connected by its own duplex :func:`multiprocessing.Pipe`:
 
+* **a lazily pulled job stream** — chunks are pulled from the job
+  iterator only while fewer than ``2 * workers`` chunks' worth of jobs
+  are pulled but not yet emitted, so a generator feed is never
+  materialized. Only those unemitted jobs are held, for requeueing;
+* **one message per chunk** — a worker runs its whole chunk and ships
+  the rows, mined witnesses, full results (when requested) and errors
+  back in a single message;
 * **per-worker pipes, not a shared queue** — a SIGKILLed worker can
   never corrupt or deadlock anyone else's transport (a shared
   ``multiprocessing.Queue`` write lock dies with its holder), and pipe
   EOF *is* the crash detector: :func:`multiprocessing.connection.wait`
   wakes the supervisor the moment a child dies;
-* **per-job progress messages** — a worker announces ``("start", i)``
-  before running job ``i`` and ships the finished row after, so a death
-  is attributed to exactly the job that was in flight; unstarted jobs
-  from the dead worker's chunk are requeued with no penalty;
+* **exact crash attribution** — before running a job, a worker writes
+  its index into a per-worker shared slot
+  (:func:`multiprocessing.RawValue`). A death is charged to exactly
+  that job; the rest of the chunk, including rows the worker had
+  computed but not yet shipped, is requeued without charge. A death
+  with no job in the slot (between jobs) requeues the chunk as
+  singletons, so a repeat death is attributable by construction;
 * **bounded retries with exponential backoff** — a failed job is
-  requeued as a singleton chunk (making any future death attributable
-  by construction) after ``Tolerance.backoff(attempt)`` seconds; past
-  ``max_retries`` it is quarantined: a crash becomes a
+  requeued as a singleton chunk after ``Tolerance.backoff(attempt)``
+  seconds; past ``max_retries`` it is quarantined: a crash becomes a
   :class:`~repro.sweep.jobs.BatchError` row of kind ``"WorkerCrash"``
   (or raises :class:`~repro.errors.WorkerCrashError` under
   ``on_error="raise"``), a hang becomes a timeout-class row — a hung
   corner is data, same as a deadlock;
-* **per-job wall-clock timeouts** — the supervisor kills any worker
-  whose current job exceeds ``Tolerance.job_timeout_s``, after first
-  draining the rows it already produced;
+* **per-job wall-clock timeouts** — the supervisor notes when it first
+  sees a worker's slot hold a job and kills the worker once the same
+  job has been there longer than ``Tolerance.job_timeout_s``, after
+  first draining a chunk that finished meanwhile;
 * **ordered emission** — finished records enter a reorder buffer and
-  are yielded strictly in job order, preserving the backend contract
-  (rows byte-identical to the serial backend, reducers fold in job
-  order).
+  are yielded strictly in job order, so rows are byte-identical to
+  in-process execution and reducers fold in job order.
 
-In arena mode (the shm backend) workers write rows into the shared
-arena exactly as the fast path does and the pipe carries only tiny
-``("row", i, None, None)`` acknowledgements (overflow rows ride the
-pipe, as ever). The parent decodes each acknowledged slot immediately;
-an :class:`~repro.errors.ArenaSlotUnwritten` decode — a torn write —
-is treated like a crash of that one job and requeued with penalty.
+A chunk is pickled once, for the pipe; a chunk whose programs cannot
+pickle (inline lambdas in compute ops) runs in the parent instead, in
+its place in the job order — graceful degradation, never an error.
 
 Injected faults (:class:`~repro.sweep.fault.FaultPlan`) fire only in
-`_worker_main`, between the start announcement and the job run — never
-in the parent, and never for chunks that fall back to in-parent
-execution because their programs cannot pickle.
+`_worker_main`, between writing the slot and running the job — never in
+the parent, and never for chunks that run in the parent.
 """
 
 from __future__ import annotations
@@ -56,11 +59,11 @@ import multiprocessing
 import pickle
 import time
 from multiprocessing.connection import wait as _conn_wait
-from typing import Iterator, Sequence
+from multiprocessing.reduction import ForkingPickler
+from typing import Iterable, Iterator
 
 from repro.errors import WorkerCrashError
 from repro.sweep import fault as fault_mod
-from repro.sweep.arena import SummaryArena
 from repro.sweep.backends import JobRecord, WorkerContext
 from repro.sweep.fault import Tolerance
 from repro.sweep.jobs import (
@@ -73,13 +76,12 @@ from repro.sweep.jobs import (
 )
 from repro.sweep.summary import summarize_result, timeout_row
 
-#: What ``conn.send`` raises when an exception *payload* cannot pickle
-#: (closures in args, exotic __reduce__): the same classes the disk
-#: cache narrows its stores to. Transport failures (``BrokenPipeError``,
-#: ``OSError``) are NOT in this set — a dead parent must propagate to
-#: the worker loop's exit handler, not trigger a pointless resend — and
-#: bug-class exceptions (``MemoryError``) must never be swallowed.
-_UNPICKLABLE_PAYLOAD = (
+#: What pickling raises for an object that cannot cross a pipe:
+#: closures and lambdas (``PicklingError``, ``AttributeError``),
+#: unpicklable builtins (``TypeError``), ctypes pointers (``ValueError``)
+#: and runaway nesting (``RecursionError``). Bug-class exceptions
+#: (``MemoryError``) are not in this set and always propagate.
+_UNPICKLABLE = (
     pickle.PicklingError,
     TypeError,
     AttributeError,
@@ -88,53 +90,49 @@ _UNPICKLABLE_PAYLOAD = (
 )
 
 
+def _shippable(exc: Exception) -> tuple[Exception, bool]:
+    """``exc`` if it pickles, else a summary ``RuntimeError`` stand-in.
+
+    The flag is True when the original payload was dropped (counted in
+    :attr:`Supervisor.payload_drops`).
+    """
+    try:
+        ForkingPickler.dumps(exc)
+    except _UNPICKLABLE:
+        return RuntimeError(f"{type(exc).__name__}: {exc}"), True
+    return exc, False
+
+
 def _worker_main(
-    wid: int,
     conn,
+    parent_end,
+    slot,
     ctx: WorkerContext,
     want_results: bool,
     collect_errors: bool,
-    arena_name: str | None,
-    n_rows: int,
-    segment_rows: int,
 ) -> None:
-    """Child process loop: run chunks from the pipe until told to stop.
+    """Child process loop: run chunks from the pipe until it closes.
 
-    Message protocol (child -> parent)::
-
-        ("start", index)              about to run job `index`
-        ("row", index, row, result, witness)
-                                      job finished; row is None when it
-                                      was published to the arena instead;
-                                      witness is the compact certificate
-                                      dict mined in-worker (or None)
-        ("error", index, exc, dropped)
-                                      job raised (collect_errors off or a
-                                      non-Repro bug); parent re-raises in
-                                      job order. dropped is True when the
-                                      original exception payload could
-                                      not pickle and a summary RuntimeError
-                                      rides in its place (counted in
-                                      Supervisor.payload_drops)
-        ("done", chunk_id)            chunk finished, worker is idle
+    Each chunk is a list of ``(index, job)``; the reply is one
+    ``(records, errors)`` message, where ``records`` are the chunk's
+    :class:`JobRecord` and ``errors`` are ``(index, exc, dropped)`` for
+    jobs that raised (``collect_errors`` off, or a non-Repro bug); the
+    parent re-raises them in job order.
     """
+    # A forked child inherits the parent's end of its own pipe; while
+    # that copy is open, the death of the parent (even by SIGKILL) never
+    # reaches this loop as EOF and the worker would outlive it.
+    parent_end.close()
     ctx.apply()
     plan = fault_mod.active_plan()
-    arena = (
-        SummaryArena.attach(
-            arena_name, n_rows, segment_rows=segment_rows, lazy=True
-        )
-        if arena_name is not None
-        else None
-    )
+    mine = ctx.mine_witnesses
     try:
         while True:
-            task = conn.recv()
-            if task is None:
-                return
-            chunk_id, items = task
+            items = conn.recv()
+            records = []
+            errors = []
             for index, job in items:
-                conn.send(("start", index))
+                slot.value = index
                 if plan is not None:
                     plan.maybe_crash(index)
                     plan.maybe_hang(index)
@@ -146,55 +144,20 @@ def _worker_main(
                     # instead of shipping an OOM as an ordinary row.
                     raise
                 except Exception as exc:
-                    try:
-                        conn.send(("error", index, exc, False))
-                    except _UNPICKLABLE_PAYLOAD:
-                        conn.send(
-                            (
-                                "error",
-                                index,
-                                RuntimeError(
-                                    f"{type(exc).__name__}: {exc}"
-                                ),
-                                True,
-                            )
-                        )
+                    errors.append((index, *_shippable(exc)))
                     continue
-                row = summarize_result(index, job, result)
-                witness = (
-                    mine_witness_payload(job, result)
-                    if ctx.mine_witnesses
-                    else None
+                records.append(
+                    JobRecord(
+                        index,
+                        summarize_result(index, job, result),
+                        result if want_results else None,
+                        mine_witness_payload(job, result) if mine else None,
+                    )
                 )
-                if arena is not None:
-                    published = arena.write_row(index, row)
-                    if published and plan is not None:
-                        published = not plan.maybe_corrupt(arena, index)
-                    conn.send(
-                        (
-                            "row",
-                            index,
-                            None if published else row,
-                            None,
-                            witness,
-                        )
-                    )
-                else:
-                    conn.send(
-                        (
-                            "row",
-                            index,
-                            row,
-                            result if want_results else None,
-                            witness,
-                        )
-                    )
-            conn.send(("done", chunk_id))
+            slot.value = -1
+            conn.send((records, errors))
     except (EOFError, BrokenPipeError):  # parent went away: just exit
         pass
-    finally:
-        if arena is not None:
-            arena.close()
 
 
 class _Raise:
@@ -209,22 +172,20 @@ class _Raise:
 class _Worker:
     """Parent-side handle on one supervised child process."""
 
-    __slots__ = ("wid", "conn", "process", "task", "current", "started_at")
+    __slots__ = ("conn", "slot", "process", "task", "seen", "seen_at")
 
-    def __init__(self, wid: int, spawn) -> None:
-        self.wid = wid
+    def __init__(self, spawn) -> None:
         self.conn, child_conn = multiprocessing.Pipe(duplex=True)
-        self.process = spawn(wid, child_conn)
+        # The index of the job the worker is running, or -1.
+        self.slot = multiprocessing.RawValue("q", -1)
+        self.process = spawn(child_conn, self.conn, self.slot)
         # The parent must drop its copy of the child end or pipe EOF
         # (the crash detector) never fires.
         child_conn.close()
-        self.task = None  # (chunk_id, items) currently assigned
-        self.current: int | None = None  # job index announced via "start"
-        self.started_at = 0.0
-
-    @property
-    def idle(self) -> bool:
-        return self.task is None
+        self.task: list[tuple[int, SimJob]] | None = None
+        # Last slot value the supervisor saw, and when it first saw it.
+        self.seen = -1
+        self.seen_at = 0.0
 
     def kill(self) -> None:
         if self.process.is_alive():
@@ -238,7 +199,7 @@ class Supervisor:
 
     def __init__(
         self,
-        jobs: Sequence[SimJob],
+        jobs: Iterable[SimJob],
         *,
         want_results: bool,
         collect_errors: bool,
@@ -246,26 +207,24 @@ class Supervisor:
         chunk_size: int,
         ctx: WorkerContext,
         tolerance: Tolerance,
-        arena: SummaryArena | None = None,
-        probe=None,
     ) -> None:
-        self.jobs = list(jobs)
         self.want_results = want_results
         self.collect_errors = collect_errors
         self.n_workers = max(1, workers)
-        self.chunk_size = max(1, chunk_size)
+        chunk_size = max(1, chunk_size)
         self.ctx = ctx
         self.tol = tolerance
-        self.arena = arena
-        self.probe = probe
-        self._chunk_seq = 0
-        self._pending: list = []  # [chunk_id, items, not_before]
+        self._chunks = iter_chunks(jobs, chunk_size)
+        self._window = 2 * self.n_workers * chunk_size
+        self._pulled = 0
+        self._emitted = 0
+        self._pending: list = []  # [items, not_before]
         self._attempts: dict[int, int] = {}
         self._completed: dict[int, JobRecord | _Raise] = {}
         self._workers: list[_Worker] = []
         #: Exceptions whose payload could not cross the pipe: the worker
-        #: shipped a summary RuntimeError in place of the original (see
-        #: the worker protocol), and each such substitution counts here.
+        #: shipped a summary RuntimeError in place of the original, and
+        #: each such substitution counts here.
         self.payload_drops = 0
 
     def stats(self) -> dict[str, int]:
@@ -274,64 +233,56 @@ class Supervisor:
 
     # -- worker lifecycle -------------------------------------------------
 
-    def _spawn(self, wid: int, child_conn):
+    def _spawn(self, child_conn, parent_end, slot):
         process = multiprocessing.Process(
             target=_worker_main,
             args=(
-                wid,
                 child_conn,
+                parent_end,
+                slot,
                 self.ctx,
                 self.want_results,
                 self.collect_errors,
-                self.arena.name if self.arena is not None else None,
-                self.arena.n_rows if self.arena is not None else 0,
-                self.arena.segment_rows if self.arena is not None else 0,
             ),
             daemon=True,
         )
         process.start()
         return process
 
-    def _new_worker(self, wid: int) -> _Worker:
-        return _Worker(wid, self._spawn)
-
-    def _replace(self, worker: _Worker) -> None:
+    def _replace(self, wid: int) -> None:
         try:
-            worker.kill()
+            self._workers[wid].kill()
         except OSError:  # pragma: no cover - already-dead edge
             pass
-        self._workers[worker.wid] = self._new_worker(worker.wid)
+        self._workers[wid] = _Worker(self._spawn)
 
     # -- task queue -------------------------------------------------------
 
-    def _enqueue(self, items, not_before: float = 0.0, front: bool = False):
-        task = [self._chunk_seq, list(items), not_before]
-        self._chunk_seq += 1
-        if front:
-            self._pending.insert(0, task)
-        else:
-            self._pending.append(task)
+    def _pull(self) -> None:
+        """Pull chunks from the job stream while the window has room."""
+        while (
+            self._chunks is not None
+            and self._pulled - self._emitted < self._window
+        ):
+            items = next(self._chunks, None)
+            if items is None:
+                self._chunks = None
+                return
+            self._pulled += len(items)
+            self._pending.append([items, 0.0])
 
     def _pop_ready(self, now: float):
-        for pos, task in enumerate(self._pending):
-            if task[2] <= now:
-                return self._pending.pop(pos)
+        for pos, (items, not_before) in enumerate(self._pending):
+            if not_before <= now:
+                del self._pending[pos]
+                return items
         return None
-
-    def _soonest_pending(self) -> float | None:
-        if not self._pending:
-            return None
-        return min(task[2] for task in self._pending)
 
     # -- failure handling -------------------------------------------------
 
-    def _record(self, index: int, record) -> None:
-        self._completed[index] = record
-
-    def _quarantine(self, index: int, kind: str, detail: str) -> None:
+    def _quarantine(self, index: int, job: SimJob, kind: str, detail: str):
         """Retire a job that failed past the retry budget, as data."""
-        job = self.jobs[index]
-        attempts = self._attempts.get(index, 0)
+        attempts = self._attempts[index]
         if kind == "hang":
             row = timeout_row(
                 index,
@@ -340,7 +291,7 @@ class Supervisor:
                 f"job_timeout_s={self.tol.job_timeout_s} on each of "
                 f"{attempts} attempts",
             )
-            self._record(index, JobRecord(index, row, None))
+            self._completed[index] = JobRecord(index, row, None)
             return
         message = (
             f"worker process died on each of {attempts} attempts "
@@ -348,100 +299,90 @@ class Supervisor:
             f"max_retries={self.tol.max_retries}"
         )
         if not self.collect_errors:
-            self._record(index, _Raise(WorkerCrashError(message)))
+            self._completed[index] = _Raise(WorkerCrashError(message))
             return
         error = BatchError(kind=WORKER_CRASH_KIND, error=message)
         row = summarize_result(index, job, error)
-        self._record(
-            index,
-            JobRecord(index, row, error if self.want_results else None),
+        self._completed[index] = JobRecord(
+            index, row, error if self.want_results else None
         )
 
-    def _fail(self, index: int, kind: str, detail: str, now: float) -> None:
+    def _fail(self, item, kind: str, detail: str, now: float) -> None:
         """Charge one failed attempt; requeue with backoff or quarantine."""
+        index, job = item
         attempts = self._attempts.get(index, 0) + 1
         self._attempts[index] = attempts
         if attempts > self.tol.max_retries:
-            self._quarantine(index, kind, detail)
+            self._quarantine(index, job, kind, detail)
             return
-        # Singleton requeue: any future worker death while running this
-        # job is attributable to it even if the "start" message is lost.
-        self._enqueue(
-            [(index, self.jobs[index])],
-            not_before=now + self.tol.backoff(attempts),
-            front=True,
-        )
+        self._pending.insert(0, [[item], now + self.tol.backoff(attempts)])
 
     def _on_worker_death(
-        self, worker: _Worker, kind: str, detail: str, now: float
+        self, wid: int, kind: str, detail: str, now: float
     ) -> None:
-        """Requeue the dead worker's unfinished jobs; respawn it."""
-        if worker.task is not None:
-            _chunk_id, items = worker.task
-            remaining = [
-                (index, job)
-                for index, job in items
-                if index not in self._completed
-            ]
-            culprit = worker.current
-            if culprit is not None and culprit in self._completed:
-                culprit = None  # its row made it out before the death
-            if culprit is None and len(remaining) == 1:
-                culprit = remaining[0][0]
-            for index, job in remaining:
-                if index == culprit:
-                    self._fail(index, kind, detail, now)
-                else:
-                    self._enqueue([(index, job)])
-        self._replace(worker)
+        """Charge the job in flight, requeue the rest, respawn."""
+        worker = self._workers[wid]
+        items = worker.task
+        if items:
+            current = worker.slot.value
+            culprit = next(
+                (item for item in items if item[0] == current), None
+            )
+            if culprit is None and len(items) == 1:
+                culprit = items[0]
+            if culprit is None:
+                # Died between jobs: requeue singletons so that a repeat
+                # death is attributable by construction.
+                self._pending[:0] = [[[item], 0.0] for item in items]
+            else:
+                rest = [item for item in items if item is not culprit]
+                if rest:
+                    self._pending.insert(0, [rest, 0.0])
+                self._fail(culprit, kind, detail, now)
+        self._replace(wid)
 
     # -- message handling -------------------------------------------------
 
-    def _handle(self, worker: _Worker, msg, now: float) -> None:
-        tag = msg[0]
-        if tag == "start":
-            worker.current = msg[1]
-            worker.started_at = now
-        elif tag == "row":
-            _tag, index, row, result, witness = msg
-            if row is None:
-                # Arena mode: decode the acknowledged slot right away; a
-                # torn write reads as unwritten and costs one retry.
-                from repro.errors import ArenaSlotUnwritten
-
-                try:
-                    row = self.arena.read_row(index)
-                except ArenaSlotUnwritten:
-                    worker.current = None
-                    self._fail(
-                        index, "crash", "arena slot unwritten", now
-                    )
-                    return
-            self._record(index, JobRecord(index, row, result, witness))
-            worker.current = None
-        elif tag == "error":
-            _tag, index, exc, dropped = msg
-            if dropped:
-                self.payload_drops += 1
-            self._record(index, _Raise(exc))
-            worker.current = None
-        elif tag == "done":
-            worker.task = None
-            worker.current = None
-
-    def _drain_conn(self, worker: _Worker, now: float) -> bool:
-        """Pump every buffered message; False when the pipe hit EOF."""
+    def _drain(self, worker: _Worker) -> bool:
+        """Take a finished chunk if one arrived; False on pipe EOF."""
         try:
-            while worker.conn.poll():
-                self._handle(worker, worker.conn.recv(), now)
+            if not worker.conn.poll():
+                return True
+            records, errors = worker.conn.recv()
         except (EOFError, OSError):
             return False
+        completed = self._completed
+        for record in records:
+            completed[record.index] = record
+        for index, exc, dropped in errors:
+            self.payload_drops += dropped
+            completed[index] = _Raise(exc)
+        worker.task = None
         return True
 
     def _death_detail(self, worker: _Worker) -> str:
         """Describe a dead worker; reap it first so exitcode is real."""
         worker.process.join(timeout=1.0)
         return f"exit code {worker.process.exitcode}"
+
+    def _check_timeouts(self, now: float) -> None:
+        limit = self.tol.job_timeout_s
+        for wid, worker in enumerate(self._workers):
+            if worker.task is None:
+                continue
+            current = worker.slot.value
+            if current != worker.seen:
+                worker.seen, worker.seen_at = current, now
+                continue
+            if current < 0 or now - worker.seen_at <= limit:
+                continue
+            # Take a chunk that finished meanwhile before judging.
+            if not self._drain(worker):
+                self._on_worker_death(
+                    wid, "crash", self._death_detail(worker), now
+                )
+            elif worker.task is not None and worker.slot.value == current:
+                self._on_worker_death(wid, "hang", "job timeout", now)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -450,119 +391,99 @@ class Supervisor:
 
         No faults fire here (an injected crash would kill the parent)
         and no retries apply: in-parent execution cannot lose a worker.
+        The full result rides on the record, as in-process execution
+        does, so the session mines witnesses from it directly.
         """
         for index, job in items:
-            result = run_job(job, self.collect_errors)
+            try:
+                result = run_job(job, self.collect_errors)
+            except MemoryError:
+                raise
+            except Exception as exc:
+                self._completed[index] = _Raise(exc)
+                continue
             row = summarize_result(index, job, result)
-            witness = (
-                mine_witness_payload(job, result)
-                if self.ctx.mine_witnesses
-                else None
-            )
-            # The record carries the row directly (no arena round-trip
-            # needed in-parent), matching the unsupervised fallback.
-            self._record(
-                index,
-                JobRecord(
-                    index,
-                    row,
-                    result
-                    if self.want_results and self.arena is None
-                    else None,
-                    witness,
-                ),
-            )
+            self._completed[index] = JobRecord(index, row, result)
 
     def _dispatch(self, now: float) -> None:
-        for worker in self._workers:
-            if not worker.idle:
-                continue
-            task = self._pop_ready(now)
-            if task is None:
-                return
-            chunk_id, items, _not_before = task
-            if self.probe is not None and not self.probe.chunk_picklable(
-                items
-            ):
-                self._run_inline(items)
-                continue
-            worker.task = (chunk_id, items)
-            worker.current = None
-            try:
-                worker.conn.send((chunk_id, items))
-            except (BrokenPipeError, OSError):
-                # Died before we even spoke to it: nothing was running,
-                # so requeue the whole chunk unpenalized and respawn.
-                worker.task = None
-                self._enqueue(items, front=True)
-                self._replace(worker)
+        for wid, worker in enumerate(self._workers):
+            while worker.task is None:
+                items = self._pop_ready(now)
+                if items is None:
+                    return
+                try:
+                    payload = ForkingPickler.dumps(items)
+                except _UNPICKLABLE:
+                    self._run_inline(items)
+                    continue
+                worker.task = items
+                try:
+                    worker.conn.send_bytes(payload)
+                except OSError:
+                    # Died while idle: nothing was running, so the chunk
+                    # goes back unpenalized and the worker is respawned.
+                    worker.task = None
+                    self._pending.insert(0, [items, 0.0])
+                    self._replace(wid)
+                    break
 
     # -- main loop --------------------------------------------------------
 
     def run(self) -> Iterator[JobRecord]:
         """Execute every job; yield records strictly in job order."""
-        n = len(self.jobs)
-        if n == 0:
-            return
+        completed = self._completed
+        next_emit = 0
         try:
+            self._pull()
+            if not self._pending:
+                return
             self._workers = [
-                self._new_worker(wid) for wid in range(self.n_workers)
+                _Worker(self._spawn) for _ in range(self.n_workers)
             ]
-            for chunk in iter_chunks(self.jobs, self.chunk_size):
-                self._enqueue(chunk)
-            next_emit = 0
-            while next_emit < n:
+            while next_emit < self._pulled or self._chunks is not None:
                 now = time.monotonic()
                 self._dispatch(now)
-                conns = {
-                    worker.conn: worker
-                    for worker in self._workers
-                    if not worker.idle
+                busy = {
+                    worker.conn: wid
+                    for wid, worker in enumerate(self._workers)
+                    if worker.task is not None
                 }
-                if conns:
-                    ready = _conn_wait(
-                        list(conns), timeout=self.tol.poll_s
-                    )
+                if busy:
+                    ready = _conn_wait(list(busy), timeout=self.tol.poll_s)
                 else:
                     ready = []
-                    soonest = self._soonest_pending()
-                    if soonest is not None and soonest > now:
+                    soonest = min(
+                        (not_before for _items, not_before in self._pending),
+                        default=now,
+                    )
+                    if soonest > now:
                         time.sleep(min(soonest - now, self.tol.poll_s))
                 now = time.monotonic()
                 for conn in ready:
-                    worker = conns[conn]
-                    if not self._drain_conn(worker, now):
+                    wid = busy[conn]
+                    worker = self._workers[wid]
+                    if not self._drain(worker):
                         self._on_worker_death(
-                            worker, "crash", self._death_detail(worker), now
+                            wid, "crash", self._death_detail(worker), now
                         )
                 if self.tol.job_timeout_s is not None:
-                    for worker in self._workers:
-                        if (
-                            worker.current is None
-                            or now - worker.started_at
-                            <= self.tol.job_timeout_s
-                        ):
-                            continue
-                        # Salvage rows it already produced before judging.
-                        if not self._drain_conn(worker, now):
-                            self._on_worker_death(
-                                worker,
-                                "crash",
-                                self._death_detail(worker),
-                                now,
-                            )
-                            continue
-                        if worker.current is None:
-                            continue  # finished during the drain
-                        self._on_worker_death(
-                            worker, "hang", "job timeout", now
-                        )
-                while next_emit in self._completed:
-                    record = self._completed.pop(next_emit)
-                    next_emit += 1
-                    if isinstance(record, _Raise):
+                    self._check_timeouts(now)
+                # Refill idle workers before handing rows out, so they
+                # compute while the consumer folds this batch.
+                self._dispatch(now)
+                # Collect the in-order run first, so that handing out
+                # each row costs no more than a list step.
+                batch = []
+                while next_emit in completed:
+                    record = completed.pop(next_emit)
+                    if type(record) is _Raise:
+                        yield from batch
                         raise record.exc
-                    yield record
+                    batch.append(record)
+                    next_emit += 1
+                yield from batch
+                self._emitted = next_emit
+                self._pull()
         finally:
             for worker in self._workers:
                 try:
@@ -571,29 +492,3 @@ class Supervisor:
                     pass
             self._workers = []
 
-
-def run_supervised(
-    jobs,
-    *,
-    want_results: bool,
-    collect_errors: bool,
-    workers: int,
-    chunk_size: int,
-    ctx: WorkerContext,
-    tolerance: Tolerance,
-    arena: SummaryArena | None = None,
-    probe=None,
-) -> Iterator[JobRecord]:
-    """Run ``jobs`` under a :class:`Supervisor`; yield ordered records."""
-    supervisor = Supervisor(
-        jobs,
-        want_results=want_results,
-        collect_errors=collect_errors,
-        workers=workers,
-        chunk_size=chunk_size,
-        ctx=ctx,
-        tolerance=tolerance,
-        arena=arena,
-        probe=probe,
-    )
-    return supervisor.run()

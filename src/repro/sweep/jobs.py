@@ -1,4 +1,4 @@
-"""Sweep jobs: the unit of work every execution backend runs.
+"""Sweep jobs: the unit of work every executor runs.
 
 A :class:`SimJob` is one simulation to execute — program, config,
 policy, registers, limits. :func:`normalize_jobs` turns the
@@ -6,9 +6,8 @@ policy, registers, limits. :func:`normalize_jobs` turns the
 configs, or prebuilt jobs) into a flat job list; :func:`run_job` executes
 one job, optionally trapping :class:`~repro.errors.ReproError` into a
 :class:`BatchError` so infeasible sweep corners stay data instead of
-aborting the batch. Chunking lives here too because every multiprocess
-backend needs it (per-chunk picklability probing is the pool backend's
-own concern).
+aborting the batch. Chunking lives here too, next to the jobs it splits
+(the supervised executor pulls its job stream in chunks).
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError, ReproError
+from repro.sim.runtime import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
     from repro.core.program import ArrayProgram
@@ -65,11 +65,6 @@ class SimJob:
 
     def run(self) -> "SimulationResult":
         """Execute this job in the current process."""
-        # Imported lazily: repro.sim imports this package at module
-        # scope (through the repro.sim.batch compatibility shim), so a
-        # top-level import here would be circular.
-        from repro.sim.runtime import Simulator
-
         sim = Simulator(
             self.program,
             config=self.config,
@@ -136,7 +131,7 @@ def witness_row(index: int, job: SimJob, witness) -> "RunSummary":
     covers_capacity`), config fields from *this* job's config, and the
     error fields left at their defaults exactly as a simulated deadlock
     leaves them. Byte-equality of pruned vs simulated rows is pinned by
-    differential tests across every backend.
+    differential tests in-process and across worker processes.
     """
     # Imported lazily: summary.py imports this module at module scope.
     from repro.sweep.summary import RunSummary

@@ -1,21 +1,19 @@
-"""Sweep plans and sessions: declare what to run, pick how to run it.
+"""Sweep plans and sessions: declare what to run, then run it.
 
 A :class:`SweepPlan` is a declarative bundle — jobs, optional grid
-labels, streaming reducers, backend choice and execution knobs. A
-:class:`SweepSession` validates it, resolves the execution backend and
-runs it in one of two shapes:
+labels, streaming reducers and execution knobs. A :class:`SweepSession`
+validates it and runs it, in-process for one worker and under the
+supervised multiprocess executor otherwise, in one of two shapes:
 
 * :meth:`SweepSession.stream` — lazily yield one
   :class:`~repro.sweep.summary.RunSummary` per job, in job order,
   feeding every reducer along the way. Full results never accumulate.
 * :meth:`SweepSession.run` — eagerly execute everything and return a
   :class:`SweepOutcome` whose :class:`ResultHandle` objects expose the
-  full per-job results: materialized in place for the serial and pool
-  backends, hydrated on demand (a deterministic in-parent re-execution
-  against the warm analysis cache) for the ``shm`` backend.
+  full per-job results.
 
 Reducers are always folded in the parent, in job order, so their
-summaries are byte-identical no matter which backend ran the jobs; the
+summaries are byte-identical however many workers ran the jobs; the
 reducers' ``merge`` contract additionally lets *separate* sessions — a
 sweep sharded over machines or sessions — combine their aggregates.
 
@@ -32,14 +30,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import CheckpointError, ConfigError
-from repro.sweep.backends import (
-    ExecutionBackend,
-    FaultPlan,
-    JobRecord,
-    Tolerance,
-    WorkerContext,
-    get_backend,
-)
+from repro.sweep.backends import JobRecord, WorkerContext, run_in_process
+from repro.sweep.fault import FaultPlan, Tolerance
 from repro.sweep.jobs import (
     BatchError,
     SimJob,
@@ -62,20 +54,17 @@ _VALID_ON_ERROR = ("raise", "collect")
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Everything a sweep needs: jobs, labels, reducers, backend, knobs.
+    """Everything a sweep needs: jobs, labels, reducers and knobs.
 
     ``jobs`` may be any iterable (a lazy generator feeds
-    :meth:`SweepSession.stream` without materializing — on every
-    backend, the ``shm`` arena included, which grows and retires
-    segments behind the in-flight window; :meth:`SweepSession.run` and
-    fault-tolerant execution materialize it). ``backend`` ``None``
-    resolves to ``serial`` for ``workers == 1`` and ``pool`` otherwise.
-
-    Fault tolerance is opt-in: setting any of ``job_timeout_s``,
-    ``max_retries`` or ``fault_plan`` routes the multiprocess backends
-    through the supervised executor
+    :meth:`SweepSession.stream` without materializing;
+    :meth:`SweepSession.run` and checkpointed streams materialize it).
+    ``workers == 1`` runs every job in-process; ``workers >= 2`` runs
+    them in supervised worker processes
     (:mod:`repro.sweep.backends.supervise`) — crash recovery, bounded
-    retries, per-job wall-clock timeouts. ``checkpoint`` names a file
+    retries (``max_retries``, default 2), per-job wall-clock timeouts
+    (``job_timeout_s``, default none). In-process execution has no
+    worker to lose and ignores those knobs. ``checkpoint`` names a file
     for periodic atomic progress snapshots
     (:mod:`repro.sweep.checkpoint`); with ``resume`` a sweep restarted
     against an existing checkpoint skips finished jobs and its reducers
@@ -90,13 +79,13 @@ class SweepPlan:
     (:func:`~repro.sweep.jobs.witness_row`) instead of simulated —
     counted in :attr:`SweepSession.witness_pruned`. With
     ``witness_mine`` (the default), deadlocked results that come back
-    attached to records (always on the serial backend, on eager
-    full-result backends under :meth:`SweepSession.iter_handles`) are
-    mined into new certificates — and multiprocess workers mine their
-    own deadlocks in-process, shipping compact certificate dicts on
-    each record, so summary-only ``pool``/``shm`` streams warm the
-    store at full speed too. Only monotone policies are ever pruned
-    or mined (FCFS is exempt by construction — see
+    attached to records (always in-process, and under
+    :meth:`SweepSession.iter_handles` with workers) are mined into new
+    certificates — and workers mine their own deadlocks in-process,
+    shipping compact certificate dicts on each record, so summary-only
+    multiprocess streams warm the store at full speed too. Only
+    monotone policies are ever pruned or mined (FCFS is exempt by
+    construction — see
     :mod:`repro.witness.certificate`); composing with ``checkpoint`` is
     safe because pruned jobs are marked done like simulated ones and
     the grid fingerprint does not depend on the store.
@@ -105,13 +94,12 @@ class SweepPlan:
     jobs: Iterable[SimJob]
     labels: Sequence[str] | None = None
     reducers: Sequence[StreamReducer] = ()
-    backend: str | None = None
     workers: int = 1
     chunk_size: int | None = None
     on_error: str = "collect"
     disk_cache: str | None = None
     job_timeout_s: float | None = None
-    max_retries: int | None = None
+    max_retries: int = 2
     retry_backoff_s: float = 0.05
     fault_plan: FaultPlan | None = None
     checkpoint: str | None = None
@@ -130,11 +118,10 @@ class ResultHandle:
     ``summary`` is always present (the flat
     :class:`~repro.sweep.summary.RunSummary` row). :meth:`result`
     returns the full :class:`~repro.sim.result.SimulationResult` (or
-    :class:`~repro.sweep.jobs.BatchError`): backends that shipped the
-    full result hand it over directly; the ``shm`` backend instead
-    re-executes the job in-parent on first access — simulations are
-    deterministic and the analysis cache is warm, so hydration is exact
-    and cheap relative to ever having pickled the result through a pipe.
+    :class:`~repro.sweep.jobs.BatchError`): a job that ran hands its
+    result over directly; a job answered from a witness store never
+    ran, so its handle re-executes the job in-parent on first access —
+    simulations are deterministic, so hydration is exact.
     """
 
     __slots__ = ("summary", "label", "_job", "_collect_errors", "_result")
@@ -220,20 +207,19 @@ class SweepSession:
         if plan.resume and plan.checkpoint is None:
             raise ConfigError("resume=True requires a checkpoint path")
         self.plan = plan
-        self.backend: ExecutionBackend = get_backend(
-            plan.backend
-            if plan.backend is not None
-            else ("serial" if plan.workers == 1 else "pool")
-        )
         # Constructing the Tolerance up front validates the knobs
         # (negative retries, non-positive timeouts) at session creation.
-        self.tolerance = self._make_tolerance()
-        multiprocess = self.backend.name != "serial"
-        # Worker-side mining: multiprocess workers hold each full result
-        # in-process anyway, so with a store attached they normalize
-        # deadlocks into compact certificates locally and the parent
-        # merges them (see _witness_records). The serial backend ships
-        # full results, so the parent mines those directly instead.
+        self.tolerance = Tolerance(
+            max_retries=plan.max_retries,
+            job_timeout_s=plan.job_timeout_s,
+            retry_backoff_s=plan.retry_backoff_s,
+        )
+        multiprocess = plan.workers > 1
+        # Worker-side mining: workers hold each full result anyway, so
+        # with a store attached they normalize deadlocks into compact
+        # certificates locally and the parent merges them (see
+        # _witness_records). In-process records carry full results, so
+        # the parent mines those directly instead.
         mine_workers = (
             multiprocess
             and plan.witness_store is not None
@@ -264,26 +250,6 @@ class SweepSession:
         # applying one here can never crash or hang the parent.)
         self.ctx.apply()
 
-    def _make_tolerance(self) -> Tolerance | None:
-        """Supervisor policy, or None to keep the legacy fast paths.
-
-        Supervision engages when any fault-tolerance knob is set —
-        including a bare ``fault_plan``, whose injected faults only fire
-        inside the supervised worker loop.
-        """
-        plan = self.plan
-        if (
-            plan.job_timeout_s is None
-            and plan.max_retries is None
-            and plan.fault_plan is None
-        ):
-            return None
-        return Tolerance(
-            max_retries=plan.max_retries if plan.max_retries is not None else 2,
-            job_timeout_s=plan.job_timeout_s,
-            retry_backoff_s=plan.retry_backoff_s,
-        )
-
     def _collect_errors(self) -> bool:
         return self.plan.on_error == "collect"
 
@@ -297,7 +263,13 @@ class SweepSession:
         return default_chunk_size(n, self.plan.workers)
 
     def _execute(self, jobs: Iterable[SimJob], want_results: bool):
-        return self.backend.execute(
+        if self.plan.workers == 1:
+            return run_in_process(jobs, self._collect_errors(), self.ctx)
+        # Imported here so that in-process sweeps never load the
+        # multiprocessing machinery.
+        from repro.sweep.backends.supervise import Supervisor
+
+        return Supervisor(
             jobs,
             want_results=want_results,
             collect_errors=self._collect_errors(),
@@ -305,15 +277,15 @@ class SweepSession:
             chunk_size=self._chunk_size(jobs),
             ctx=self.ctx,
             tolerance=self.tolerance,
-        )
+        ).run()
 
     def _witness_records(
         self, jobs: Iterable[SimJob], want_results: bool
     ) -> Iterator[JobRecord]:
-        """Backend records merged with store-synthesized rows, in order.
+        """Executor records merged with store-synthesized rows, in order.
 
         Each job is checked against ``plan.witness_store`` as the
-        backend pulls it: covered jobs are withheld from execution and
+        executor pulls it: covered jobs are withheld from execution and
         their deadlock rows synthesized (:func:`~repro.sweep.jobs.
         witness_row`, byte-identical to the simulated row inside the
         certificate's capacity band); the rest run normally and their
@@ -323,9 +295,9 @@ class SweepSession:
         the CLI tables) cannot tell a pruned row from a simulated one.
 
         Mining rides the same pass for free: records that arrive with a
-        full result attached (always on the serial backend — see the
-        backend contract) have their deadlock diagnoses normalized into
-        new certificates when ``plan.witness_mine`` is set. Multiprocess
+        full result attached (always in-process — see the executor
+        contract) have their deadlock diagnoses normalized into new
+        certificates when ``plan.witness_mine`` is set. Multiprocess
         summary-only streams ship no results, but their workers mine
         in-process (``WorkerContext.mine_witnesses``) and attach the
         compact certificate dict to each record; the parent rehydrates
@@ -411,7 +383,7 @@ class SweepSession:
     def _stream_checkpointed(self) -> Iterator[RunSummary]:
         """The checkpointed stream: resume, run the remainder, snapshot.
 
-        Backends enumerate whatever job list they are handed from index
+        Executors enumerate whatever job list they are handed from index
         0, so the remaining jobs run as a *compacted* list and each
         row's index is mapped back to its original grid position before
         reducers see it. Because the plain stream also folds rows in
@@ -490,9 +462,8 @@ class SweepSession:
         """Lazily yield one :class:`ResultHandle` per job, in job order.
 
         The memory-bounded way to consume a *full-result* sweep:
-        handles arrive as the backend finishes jobs (at most one drain
-        window of chunks in flight), each carrying its summary row and
-        — for backends that ship results eagerly — the materialized
+        handles arrive as jobs finish (at most one window of chunks in
+        flight), each carrying its summary row and the materialized
         full result. Drop a handle after processing it and full results
         never accumulate, whatever the sweep size. Reducers are fed as
         each row passes.
@@ -513,7 +484,7 @@ class SweepSession:
         collect = self._collect_errors()
         # A witness-pruned handle arrives with no materialized result
         # (there was no run); its ResultHandle hydrates by executing
-        # the job on demand, exactly like a shm-backend handle.
+        # the job on demand.
         for record in self._records(jobs, want_results=True):
             for reducer in reducers:
                 reducer.update(record.row)
@@ -550,7 +521,6 @@ def simulate_many(
     chunk_size: int | None = None,
     on_error: str = "raise",
     disk_cache: str | None = None,
-    backend: str | None = None,
 ) -> "list[SimulationResult | BatchError]":
     """Simulate every (program, config) job; results in job order.
 
@@ -565,7 +535,7 @@ def simulate_many(
             ``SimJob`` inputs).
         workers: process count. ``1`` runs in-process (and still reuses
             the analysis cache across jobs); ``N > 1`` farms chunks to
-            the ``pool`` backend (or the one named by ``backend``).
+            supervised worker processes.
         chunk_size: jobs per worker task (must be >= 1); defaults to an
             even split that gives each worker ~4 chunks for load
             balance.
@@ -575,15 +545,8 @@ def simulate_many(
             (infeasible sweep corners are data, not fatal).
         disk_cache: directory of the persistent analysis tier
             (:mod:`repro.perf.disk_cache`); configured in this process
-            *and* every pool worker, so analyses computed anywhere are
+            *and* every worker, so analyses computed anywhere are
             reused everywhere — including across restarts.
-        backend: execution backend name; ``None`` picks ``serial`` for
-            one worker or one job, else ``pool``. ``"shm"`` is rejected
-            here: it never ships full results, so materializing *all*
-            of them (which is this function's contract) would re-run
-            every job in-parent — use
-            :meth:`SweepSession.iter_handles` / :func:`simulate_stream`
-            to get the arena's benefits.
 
     Returns:
         One :class:`SimulationResult` (or :class:`BatchError` under
@@ -598,21 +561,13 @@ def simulate_many(
         raise ConfigError(
             f"on_error must be 'raise' or 'collect', got {on_error!r}"
         )
-    if backend == "shm":
-        raise ConfigError(
-            "simulate_many materializes every full result, which the shm "
-            "backend would satisfy by re-running each job in-parent; use "
-            "SweepSession.iter_handles() or simulate_stream(backend='shm') "
-            "instead"
-        )
     jobs = normalize_jobs(programs, configs, policy, registers)
     if not jobs:
         return []
-    if backend is None and (workers == 1 or len(jobs) == 1):
-        workers = 1  # a single job never needs a pool
+    if len(jobs) == 1:
+        workers = 1  # a single job never needs a worker process
     plan = SweepPlan(
         jobs=jobs,
-        backend=backend,
         workers=workers,
         chunk_size=chunk_size,
         on_error=on_error,
@@ -629,9 +584,8 @@ def simulate_stream(
     chunk_size: int = 32,
     on_error: str = "collect",
     disk_cache: str | None = None,
-    backend: str | None = None,
     job_timeout_s: float | None = None,
-    max_retries: int | None = None,
+    max_retries: int = 2,
     fault_plan: FaultPlan | None = None,
     checkpoint: str | None = None,
     checkpoint_every: int = 64,
@@ -642,35 +596,29 @@ def simulate_stream(
     Unlike :func:`simulate_many`, ``jobs`` may be a lazy generator and
     results are never accumulated: each job is reduced to a
     :class:`RunSummary` (in the worker, for ``workers > 1``, so full
-    results also never cross the pool pipe), fed through every reducer,
-    and yielded in job order. Peak memory is bounded by
-    ``workers * chunk_size`` in-flight jobs, independent of sweep size
-    (the ``shm`` backend too: its segmented arena holds 256-byte slots
-    only for the in-flight window, growing ahead of dispatch and
-    retiring drained segments behind it).
+    results never cross the pipe), fed through every reducer, and
+    yielded in job order. Peak memory is bounded by ``2 * workers *
+    chunk_size`` in-flight jobs, independent of sweep size.
 
     Args:
         jobs: the jobs to run, lazily consumed.
         reducers: :class:`StreamReducer` instances updated with every
             row before it is yielded; read their ``summary()`` after the
             stream is exhausted.
-        workers: process count; ``1`` streams in-process. With a pool,
-            chunks whose programs carry unpicklable compute closures run
-            in-process transparently, preserving order.
+        workers: process count; ``1`` streams in-process. With
+            workers, chunks whose programs carry unpicklable compute
+            closures run in-process transparently, preserving order.
         chunk_size: jobs per worker task.
         on_error: ``"collect"`` (default) turns failed jobs into
             ``infeasible`` rows; ``"raise"`` propagates the first error.
         disk_cache: analysis disk tier forwarded to every worker (see
             :func:`simulate_many`).
-        backend: execution backend name; ``None`` picks ``serial`` for
-            one worker, else ``pool``.
-        job_timeout_s: per-job wall clock enforced by the supervised
-            executor; a hung job's worker is killed and the corner
+        job_timeout_s: per-job wall clock enforced on worker
+            processes; a hung job's worker is killed and the corner
             recorded as a timeout-class row.
         max_retries: extra attempts a job gets after crashing or
-            hanging its worker before being quarantined. Setting either
-            of these (or ``fault_plan``) engages fault-tolerant
-            supervision on the multiprocess backends.
+            hanging its worker before being quarantined. Both are
+            ignored in-process (``workers == 1``).
         fault_plan: deterministic injected faults
             (:class:`~repro.sweep.fault.FaultPlan`) for testing the
             recovery machinery.
@@ -687,7 +635,6 @@ def simulate_stream(
     plan = SweepPlan(
         jobs=jobs,
         reducers=tuple(reducers),
-        backend=backend,
         workers=workers,
         chunk_size=chunk_size,
         on_error=on_error,

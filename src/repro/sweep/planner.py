@@ -25,7 +25,7 @@ evaluation where it does not:
 
 Every probe the planner *does* run goes through the ordinary sweep
 machinery — a :class:`~repro.sweep.plan.SweepPlan` per probe round,
-executed by whichever backend the :class:`PlanSpec` names — and is
+run on the :class:`PlanSpec`'s worker count — and is
 emitted as a standard :class:`~repro.sweep.summary.RunSummary` row whose
 ``index`` is the job's position in the *exhaustive* grid (policy-major,
 then queues, then ascending capacity, exactly
@@ -48,8 +48,8 @@ later capacity's entry
 and each new probe point pays only for the capacity-*dependent*
 artifacts (lookahead capacities, labeling) instead of a cold start. The
 warm-up happens in the planner's process, so it benefits the default
-in-process (serial) execution directly and multiprocess backends through
-the shared disk tier when one is configured.
+in-process execution directly and worker processes through the shared
+disk tier when one is configured.
 
 Entry points: build a :class:`PlanSpec` and call
 :meth:`FrontierPlanner.run`, or use :func:`find_frontier` /
@@ -124,7 +124,6 @@ class PlanSpec:
     capacities: Sequence[int] = (0,)
     registers: dict[str, dict[str, float | None]] | None = None
     reducers: Sequence[StreamReducer] = ()
-    backend: str | None = None
     workers: int = 1
     chunk_size: int | None = None
     disk_cache: str | None = None
@@ -358,7 +357,7 @@ class FrontierPlanner:
     Probe rounds batch one pending probe per bisecting line (plus, in
     the first round, every exhaustive line's whole axis) into a single
     :class:`~repro.sweep.plan.SweepPlan`, so line-level parallelism is
-    available to multiprocess backends; errors are collected
+    available to worker processes; errors are collected
     (``on_error="collect"``) — an infeasible corner is a not-completed
     data point, exactly as in an exhaustive sweep.
     """
@@ -461,7 +460,6 @@ class FrontierPlanner:
         self._warm_analysis([job.config.queue_capacity for job in jobs])
         plan = SweepPlan(
             jobs=jobs,
-            backend=spec.backend,
             workers=spec.workers,
             chunk_size=spec.chunk_size,
             on_error="collect",

@@ -4,7 +4,7 @@ import pytest
 
 from repro import ArrayConfig, SimJob, simulate, simulate_many
 from repro.errors import ConfigError
-from repro.sim.batch import sweep_jobs, sweep_labels
+from repro.sweep import sweep_jobs, sweep_labels
 from repro.workloads import ensemble_programs
 
 
@@ -72,23 +72,6 @@ class TestSimulateMany:
             assert a.time == b.time
             assert a.received == b.received
 
-    def test_shm_backend_rejected(self, ensemble):
-        # simulate_many materializes every full result; the shm backend
-        # never ships them, so honoring it would re-run each job
-        # in-parent — worse than serial. Refuse instead of degrading.
-        with pytest.raises(ConfigError, match="shm"):
-            simulate_many(ensemble, CONFIG, workers=2, backend="shm")
-
-    def test_pool_backend_matches_serial(self, ensemble):
-        serial = simulate_many(ensemble, CONFIG, workers=1)
-        via_pool = simulate_many(ensemble, CONFIG, workers=2, backend="pool")
-        for a, b in zip(serial, via_pool):
-            assert a.completed == b.completed
-            assert a.time == b.time
-            assert a.events == b.events
-            assert a.received == b.received
-            assert a.assignment_trace == b.assignment_trace
-
     def test_workers_match_serial(self, ensemble):
         serial = simulate_many(ensemble, CONFIG, workers=1)
         parallel = simulate_many(ensemble, CONFIG, workers=2)
@@ -137,7 +120,7 @@ class TestSweep:
 
 class TestErrorCollection:
     def test_infeasible_corner_collected_not_fatal(self, ensemble):
-        from repro.sim.batch import BatchError
+        from repro.sweep import BatchError
         program = ensemble[0]
         jobs = sweep_jobs(
             program, policies=("static", "ordered"), queues=(1, 8), capacities=(0,)

@@ -175,11 +175,8 @@ class TestSweepQuantiles:
         assert main(["sweep", fig7_file, "--quantiles", "pfoo"]) == 2
         assert "quantiles expect" in capsys.readouterr().err
 
-    def test_backend_flag_accepted(self, fig7_file, capsys):
-        code = main([
-            "sweep", fig7_file, "--queues", "1,2",
-            "--backend", "shm", "--workers", "2",
-        ])
+    def test_workers_flag_runs_supervised(self, fig7_file, capsys):
+        code = main(["sweep", fig7_file, "--queues", "1,2", "--workers", "2"])
         assert code == 0
         assert "2/2 runs completed" in capsys.readouterr().out
 
@@ -251,6 +248,24 @@ class TestSweepFaultToleranceFlags:
         out = capsys.readouterr().out
         assert code == 1  # fcfs q=1 still deadlocks; supervision changes nothing
         assert "3/4 runs completed" in out
+
+    @pytest.mark.parametrize("stream", ([], ["--stream"]), ids=("eager", "stream"))
+    @pytest.mark.parametrize(
+        "flags",
+        (["--job-timeout", "30"], ["--max-retries", "1"]),
+        ids=("job-timeout", "max-retries"),
+    )
+    def test_tolerance_flags_rejected_at_one_worker(
+        self, fig7_file, capsys, flags, stream
+    ):
+        # --workers 1 runs in-process: there is no worker to time out or
+        # retry, so the flags would be silently ignored. Refuse instead.
+        code = main(["sweep", fig7_file, "--queues", "1,2"] + flags + stream)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert flags[0] in captured.err
+        assert "--workers 2" in captured.err
+        assert "runs completed" not in captured.out
 
     def test_checkpoint_resume_round_trip(self, fig7_file, tmp_path, capsys):
         ck = str(tmp_path / "sweep.ckpt")
@@ -417,10 +432,14 @@ class TestFrontier:
     def test_workers_and_backend_flags(self, burst_file, capsys):
         code = main([
             "frontier", burst_file, "--capacity", "0,1,2,3",
-            "--workers", "2", "--backend", "pool",
+            "--workers", "2",
         ])
         assert code == 0
         assert "frontier static q=1: cap=2" in capsys.readouterr().out
+        # The worker count alone picks the executor: no --backend knob.
+        with pytest.raises(SystemExit):
+            main(["frontier", burst_file, "--backend", "pool"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestCrossingBackendFlag:
@@ -530,15 +549,15 @@ class TestWitnessCli:
         assert main(["witness", "prune", store]) == 0
         assert "pruned 0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("backend", ("pool", "shm"))
+    @pytest.mark.parametrize("workers", ("1", "2"))
     def test_json_carries_witness_counters_per_backend(
-        self, crossread_file, tmp_path, capsys, backend
+        self, crossread_file, tmp_path, capsys, workers
     ):
-        # Worker-side mining makes the counters meaningful on every
-        # backend: a cold multiprocess sweep must report nonzero mined.
+        # Worker-side mining makes the counters meaningful at any worker
+        # count: a cold multiprocess sweep must report nonzero mined.
         store = str(tmp_path / "w.json")
         out_path = tmp_path / "sweep.json"
-        multiproc = ["--backend", backend, "--workers", "2"]
+        multiproc = ["--workers", workers]
         assert main(
             ["sweep", crossread_file, "--witness-store", store,
              "--json", str(out_path)] + self.GRID + multiproc

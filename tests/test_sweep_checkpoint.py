@@ -73,18 +73,17 @@ def baseline():
 
 
 class TestResumeByteIdentity:
-    @pytest.mark.parametrize("backend", ("serial", "pool"))
+    @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("cut", (1, 4, 8))
-    def test_interrupt_then_resume(self, baseline, tmp_path, backend, cut):
+    def test_interrupt_then_resume(self, baseline, tmp_path, workers, cut):
         jobs, base_rows, base_summaries = baseline
-        ck = str(tmp_path / f"{backend}-{cut}.ckpt")
+        ck = str(tmp_path / f"{workers}-{cut}.ckpt")
         first = fresh_reducers()
         stream = SweepSession(
             plan_for(
                 jobs,
                 first,
-                backend=backend,
-                workers=2,
+                workers=workers,
                 chunk_size=3,
                 checkpoint=ck,
                 checkpoint_every=2,
@@ -100,8 +99,7 @@ class TestResumeByteIdentity:
                 plan_for(
                     jobs,
                     second,
-                    backend=backend,
-                    workers=2,
+                    workers=workers,
                     chunk_size=3,
                     checkpoint=ck,
                     resume=True,

@@ -1,11 +1,12 @@
-"""Fault-injection harness: the supervised executor under crash/hang/corrupt.
+"""Fault-injection harness: the supervised executor under crash and hang.
 
-Deterministically injects the three characteristic sweep failures —
-worker crash (abrupt ``os._exit``), hung job, torn arena write — via
+Deterministically injects the two characteristic sweep failures —
+worker crash (abrupt ``os._exit``) and hung job — via
 :class:`repro.sweep.fault.FaultPlan` and pins the recovery contract:
 a recovered sweep's rows and reducer summaries are byte-identical to a
-fault-free serial run, poison jobs are quarantined as data instead of
-aborting the sweep, and persistent hangs become timeout rows.
+fault-free in-process run, poison jobs are quarantined as data instead
+of aborting the sweep, crash attribution charges exactly the job in
+flight, and persistent hangs become timeout rows.
 """
 
 import dataclasses
@@ -15,12 +16,7 @@ import os
 import pytest
 
 from repro.algorithms.figures import fig7_program
-from repro.errors import (
-    ArenaSlotUnwritten,
-    ConfigError,
-    ReproError,
-    WorkerCrashError,
-)
+from repro.errors import ConfigError, WorkerCrashError
 from repro.sweep import (
     WORKER_CRASH_KIND,
     CompletedCount,
@@ -35,8 +31,6 @@ from repro.sweep import (
     sweep_jobs,
 )
 from repro.sweep.fault import CRASH_EXIT_CODE
-
-SUPERVISED = ("pool", "shm")
 
 
 def corpus_jobs() -> list[SimJob]:
@@ -63,13 +57,12 @@ def summaries_json(reducers) -> str:
     )
 
 
-def run_plan(jobs, backend, **kwargs):
+def run_plan(jobs, workers=2, **kwargs):
     reducers = fresh_reducers()
     plan = SweepPlan(
         jobs=jobs,
         reducers=reducers,
-        backend=backend,
-        workers=2,
+        workers=workers,
         chunk_size=3,
         **kwargs,
     )
@@ -80,17 +73,17 @@ def run_plan(jobs, backend, **kwargs):
 @pytest.fixture(scope="module")
 def baseline():
     jobs = corpus_jobs()
-    rows, summaries = run_plan(jobs, "serial")
+    rows, summaries = run_plan(jobs, workers=1)
     return jobs, rows, summaries
 
 
 class TestSupervisedDifferential:
     """Supervision without faults must change nothing observable."""
 
-    @pytest.mark.parametrize("backend", SUPERVISED)
-    def test_no_faults_matches_serial(self, baseline, backend):
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_no_faults_matches_serial(self, baseline, workers):
         jobs, base_rows, base_summaries = baseline
-        rows, summaries = run_plan(jobs, backend, max_retries=2)
+        rows, summaries = run_plan(jobs, workers, max_retries=0)
         assert rows == base_rows
         assert summaries == base_summaries
 
@@ -98,40 +91,49 @@ class TestSupervisedDifferential:
         jobs, base_rows, base_summaries = baseline
         plan = FaultPlan(spool=str(tmp_path), crash={0: 1}, hang={1: 1})
         rows, summaries = run_plan(
-            jobs, "serial", fault_plan=plan, job_timeout_s=5.0
+            jobs, workers=1, fault_plan=plan, job_timeout_s=5.0
         )
-        # Serial is the fault-free reference: the plan is installed but
-        # never fired (no supervised worker loop in-process).
+        # In-process execution is the fault-free reference: the plan is
+        # installed but never fired (no supervised worker loop here).
         assert rows == base_rows
         assert summaries == base_summaries
         assert not os.listdir(tmp_path)
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("backend", SUPERVISED)
-    def test_crashed_jobs_are_requeued(self, baseline, tmp_path, backend):
+    def test_crashed_jobs_are_requeued(self, baseline, tmp_path):
         jobs, base_rows, base_summaries = baseline
-        spool = tmp_path / backend
-        spool.mkdir()
-        plan = FaultPlan(spool=str(spool), crash={1: 1, 5: 2})
-        rows, summaries = run_plan(
-            jobs, backend, fault_plan=plan, max_retries=3
-        )
+        plan = FaultPlan(spool=str(tmp_path), crash={1: 1, 5: 2})
+        rows, summaries = run_plan(jobs, fault_plan=plan, max_retries=3)
         assert rows == base_rows
         assert summaries == base_summaries
-        fired = sorted(os.listdir(spool))
+        fired = sorted(os.listdir(tmp_path))
         # Every armed crash actually fired (plus the one clean re-probe
         # marker per fault key that finds the fault exhausted).
         assert any(m.startswith("crash-1-") for m in fired)
         assert any(m.startswith("crash-5-1") for m in fired)
 
+    def test_mid_chunk_crash_charges_only_the_job_in_flight(
+        self, baseline, tmp_path
+    ):
+        jobs, base_rows, base_summaries = baseline
+        # Chunks are [0, 1, 2], [3, 4, 5], [6, 7, 8]: job 4 dies after
+        # job 3 ran in the same chunk, whose row never shipped.
+        plan = FaultPlan(spool=str(tmp_path), crash={4: 1})
+        rows, _ = run_plan(jobs, fault_plan=plan, max_retries=0)
+        assert rows[4].error_kind == WORKER_CRASH_KIND
+        assert "job 4" in (rows[4].error or "")
+        # Job 3 re-ran without charge: with no retry budget, a charged
+        # attempt would have quarantined it too.
+        assert [r for i, r in enumerate(rows) if i != 4] == [
+            r for i, r in enumerate(base_rows) if i != 4
+        ]
+
     def test_poison_job_quarantined_as_row(self, baseline, tmp_path):
         jobs, base_rows, _ = baseline
         # Crashes forever: armed for more attempts than the budget.
         plan = FaultPlan(spool=str(tmp_path), crash={2: 99})
-        rows, _ = run_plan(
-            jobs, "pool", fault_plan=plan, max_retries=1
-        )
+        rows, _ = run_plan(jobs, fault_plan=plan, max_retries=1)
         assert len(rows) == len(base_rows)
         poisoned = rows[2]
         assert poisoned.error_kind == WORKER_CRASH_KIND
@@ -148,7 +150,6 @@ class TestCrashRecovery:
         session = SweepSession(
             SweepPlan(
                 jobs=jobs,
-                backend="pool",
                 workers=2,
                 chunk_size=3,
                 on_error="raise",
@@ -161,14 +162,11 @@ class TestCrashRecovery:
 
 
 class TestTimeouts:
-    @pytest.mark.parametrize("backend", SUPERVISED)
-    def test_hung_job_recovers_on_retry(self, baseline, tmp_path, backend):
+    def test_hung_job_recovers_on_retry(self, baseline, tmp_path):
         jobs, base_rows, base_summaries = baseline
-        spool = tmp_path / backend
-        spool.mkdir()
-        plan = FaultPlan(spool=str(spool), hang={3: 1}, hang_s=30.0)
+        plan = FaultPlan(spool=str(tmp_path), hang={3: 1}, hang_s=30.0)
         rows, summaries = run_plan(
-            jobs, backend, fault_plan=plan, job_timeout_s=0.5, max_retries=2
+            jobs, fault_plan=plan, job_timeout_s=0.5, max_retries=2
         )
         assert rows == base_rows
         assert summaries == base_summaries
@@ -177,7 +175,7 @@ class TestTimeouts:
         jobs, base_rows, _ = baseline
         plan = FaultPlan(spool=str(tmp_path), hang={4: 99}, hang_s=30.0)
         rows, _ = run_plan(
-            jobs, "pool", fault_plan=plan, job_timeout_s=0.3, max_retries=1
+            jobs, fault_plan=plan, job_timeout_s=0.3, max_retries=1
         )
         hung = rows[4]
         assert hung.outcome == "timeout"
@@ -284,30 +282,67 @@ class TestWorkerErrorNarrowing:
         assert sup.stats()["payload_drops"] == 0
 
 
-class TestArenaFaults:
-    def test_corrupt_slot_requeued(self, baseline, tmp_path):
-        jobs, base_rows, base_summaries = baseline
-        plan = FaultPlan(spool=str(tmp_path), corrupt={0: 1, 6: 1})
-        rows, summaries = run_plan(
-            jobs, "shm", fault_plan=plan, max_retries=2
+class TestCrashAttribution:
+    """The supervisor charges a death to the job in the worker's slot.
+
+    Driven on a stand-in worker (no process), so each attribution rule
+    is pinned exactly: the slot's job is charged and the rest of the
+    chunk requeued free; an empty slot requeues singletons, charging
+    nobody; a lone job is charged even without a slot.
+    """
+
+    class _FakeWorker:
+        def __init__(self, items, current):
+            import multiprocessing
+
+            self.task = items
+            self.slot = multiprocessing.RawValue("q", current)
+
+    def _supervisor(self, items, current, max_retries=1):
+        from repro.sweep.backends import WorkerContext
+        from repro.sweep.backends.supervise import Supervisor
+
+        sup = Supervisor(
+            [],
+            want_results=False,
+            collect_errors=True,
+            workers=1,
+            chunk_size=3,
+            ctx=WorkerContext.capture(),
+            tolerance=Tolerance(max_retries=max_retries),
         )
-        assert rows == base_rows
-        assert summaries == base_summaries
-        fired = os.listdir(tmp_path)
-        assert any(m.startswith("corrupt-0-") for m in fired)
-        assert any(m.startswith("corrupt-6-") for m in fired)
+        sup._workers = [self._FakeWorker(items, current)]
+        sup._replace = lambda wid: None
+        return sup
 
-    def test_unwritten_slot_error_is_typed(self):
-        from repro.sweep import SummaryArena
+    def _items(self, indices):
+        job = SimJob(fig7_program())
+        return [(index, job) for index in indices]
 
-        arena = SummaryArena.create(2)
-        try:
-            with pytest.raises(ArenaSlotUnwritten, match="never written"):
-                arena.read_row(1)
-            assert issubclass(ArenaSlotUnwritten, ReproError)
-        finally:
-            arena.close()
-            arena.unlink()
+    def test_slot_job_charged_rest_requeued_free(self):
+        items = self._items([3, 4, 5])
+        sup = self._supervisor(items, current=4)
+        sup._on_worker_death(0, "crash", "exit code -9", now=10.0)
+        assert sup._attempts == {4: 1}
+        retry, rest = sup._pending
+        assert retry[0] == [items[1]] and retry[1] > 10.0  # backoff
+        assert rest == [[items[0], items[2]], 0.0]
+
+    def test_empty_slot_requeues_singletons_uncharged(self):
+        items = self._items([3, 4, 5])
+        sup = self._supervisor(items, current=-1)
+        sup._on_worker_death(0, "crash", "exit code -9", now=10.0)
+        assert sup._attempts == {}
+        assert sup._pending == [[[item], 0.0] for item in items]
+
+    def test_lone_job_charged_without_slot(self):
+        items = self._items([7])
+        sup = self._supervisor(items, current=-1, max_retries=0)
+        sup._on_worker_death(0, "hang", "job timeout", now=10.0)
+        assert sup._pending == []
+        record = sup._completed[7]
+        assert record.row.outcome == "timeout"
+        assert "job_timeout_s" in record.row.error
 
 
 class TestKnobValidation:
@@ -338,92 +373,114 @@ class TestKnobValidation:
         with pytest.raises(ConfigError, match="index >= 0"):
             FaultPlan(spool=str(tmp_path), hang=[-1])
 
-    def test_fault_plan_fires_bounded_times(self, tmp_path):
-        plan = FaultPlan(spool=str(tmp_path), corrupt={0: 2})
+    def test_fault_plan_fires_bounded_times(self, tmp_path, monkeypatch):
+        from repro.sweep import fault as fault_mod
 
-        class FakeArena:
-            cleared = 0
-
-            def clear_slot(self, slot):
-                FakeArena.cleared += 1
-
-        arena = FakeArena()
-        fired = [plan.maybe_corrupt(arena, 0) for _ in range(5)]
-        assert fired == [True, True, False, False, False]
-        assert FakeArena.cleared == 2
-        assert plan.maybe_corrupt(arena, 1) is False  # unarmed index
+        plan = FaultPlan(spool=str(tmp_path), hang={0: 2}, hang_s=5.0)
+        slept = []
+        monkeypatch.setattr(fault_mod.time, "sleep", slept.append)
+        for _ in range(5):
+            plan.maybe_hang(0)
+        assert slept == [5.0, 5.0]
+        plan.maybe_hang(1)  # unarmed index
+        assert slept == [5.0, 5.0]
 
 
-class TestArenaCleanup:
-    """The shm arena must be unlinked on every exit path."""
+class TestWorkerCleanup:
+    """Worker processes are reaped on every exit path."""
 
-    def _capture_arena_names(self, monkeypatch):
-        from repro.sweep import arena as arena_mod
+    def _capture_processes(self, monkeypatch):
+        from repro.sweep.backends.supervise import Supervisor
 
-        created = []
-        real_create = arena_mod.SummaryArena.create.__func__
+        spawned = []
+        real_spawn = Supervisor._spawn
 
-        def recording_create(cls, n_rows):
-            arena = real_create(cls, n_rows)
-            created.append(arena.name)
-            return arena
+        def recording_spawn(self, child_conn, parent_end, slot):
+            process = real_spawn(self, child_conn, parent_end, slot)
+            spawned.append(process)
+            return process
 
-        monkeypatch.setattr(
-            arena_mod.SummaryArena,
-            "create",
-            classmethod(recording_create),
-        )
-        return created
+        monkeypatch.setattr(Supervisor, "_spawn", recording_spawn)
+        return spawned
 
-    def _assert_unlinked(self, names):
-        from repro.sweep import SummaryArena
-
-        assert names, "backend never created an arena"
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                SummaryArena.attach(name, 1)
-
-    def test_unlinked_after_error_raise(self, monkeypatch):
-        names = self._capture_arena_names(monkeypatch)
+    def test_reaped_after_error_raise(self, monkeypatch):
+        spawned = self._capture_processes(monkeypatch)
         bad = SimJob(fig7_program(), policy="no-such-policy")
         session = SweepSession(
-            SweepPlan(
-                jobs=[bad],
-                backend="shm",
-                workers=2,
-                on_error="raise",
-                max_retries=1,
-            )
+            SweepPlan(jobs=[bad, bad], workers=2, on_error="raise")
         )
-        with pytest.raises(ReproError):
+        with pytest.raises(ConfigError):
             list(session.stream())
-        self._assert_unlinked(names)
+        assert spawned and not any(p.is_alive() for p in spawned)
 
-    def test_unlinked_after_generator_close(self, monkeypatch, baseline):
+    def test_reaped_after_generator_close(self, monkeypatch, baseline):
         jobs, _, _ = baseline
-        names = self._capture_arena_names(monkeypatch)
+        spawned = self._capture_processes(monkeypatch)
         stream = SweepSession(
-            SweepPlan(
-                jobs=jobs,
-                backend="shm",
-                workers=2,
-                chunk_size=3,
-                max_retries=1,
-            )
+            SweepPlan(jobs=jobs, workers=2, chunk_size=3)
         ).stream()
         next(stream)
         stream.close()  # mid-sweep teardown (what Ctrl-C does in the CLI)
-        self._assert_unlinked(names)
+        assert spawned and not any(p.is_alive() for p in spawned)
 
-    def test_unlinked_after_legacy_close(self, monkeypatch, baseline):
-        jobs, _, _ = baseline
-        names = self._capture_arena_names(monkeypatch)
-        stream = SweepSession(
-            SweepPlan(jobs=jobs, backend="shm", workers=2, chunk_size=3)
-        ).stream()
-        next(stream)
-        stream.close()
-        self._assert_unlinked(names)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads process state from /proc"
+    )
+    def test_workers_exit_when_parent_is_killed(self, tmp_path):
+        """A SIGKILLed parent must not leave its workers running."""
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        script = tmp_path / "parent.py"
+        script.write_text(
+            "import time\n"
+            "from repro.algorithms.figures import fig7_program\n"
+            "from repro.sweep import SimJob, Tolerance\n"
+            "from repro.sweep.backends import WorkerContext\n"
+            "from repro.sweep.backends.supervise import Supervisor\n"
+            "sup = Supervisor([SimJob(fig7_program())] * 8,\n"
+            "    want_results=False, collect_errors=True, workers=2,\n"
+            "    chunk_size=1, ctx=WorkerContext(), tolerance=Tolerance())\n"
+            "rows = sup.run()\n"
+            "next(rows)\n"
+            "print(*(w.process.pid for w in sup._workers), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    state = stat.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"  # an unreaped zombie has exited
+
+        deadline = time.monotonic() + 10.0
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = [pid for pid in pids if running(pid)]
+        for pid in alive:  # don't leak them past a failing run
+            os.kill(pid, signal.SIGKILL)
+        assert not alive
 
 
 class TestFaultPlanUnits:

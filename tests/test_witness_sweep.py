@@ -3,7 +3,7 @@
 The contract under test: a sweep given a witness store produces rows and
 reducer summaries *byte-identical* to the same sweep without one — the
 store only changes how many jobs actually simulate. Pinned against the
-serial baseline across backends, under checkpoint/resume composition,
+in-process baseline with workers, under checkpoint/resume composition,
 and through the frontier planner's bisection seeding; the acceptance
 grid (2 policies x 64 capacities, deadlock-dense) must simulate at most
 half its jobs on a warm store, with FCFS never pruned.
@@ -113,7 +113,7 @@ class TestAcceptanceGrid:
 
     def test_pruned_rows_at_the_end_of_the_grid(self, tmp_path):
         # Policy order reversed: every pruned (static) row now lands
-        # *after* the backend's stream is exhausted — the flush path.
+        # *after* the executor's stream is exhausted — the flush path.
         jobs = self.grid(policies=("fcfs", "static"))
         base_rows, base_summaries, _ = run_sweep(jobs)
         store = WitnessStore(tmp_path / "w.json")
@@ -126,9 +126,9 @@ class TestAcceptanceGrid:
 
 
 class TestBackendDifferential:
-    @pytest.mark.parametrize("backend", ("pool", "shm"))
+    @pytest.mark.parametrize("workers", (1, 2))
     def test_pruned_rows_byte_identical_across_backends(
-        self, tmp_path, backend
+        self, tmp_path, workers
     ):
         jobs = sweep_jobs(
             cross_read(),
@@ -140,7 +140,7 @@ class TestBackendDifferential:
         store = WitnessStore(tmp_path / "w.json")
         run_sweep(jobs, store)  # warm it up on the serial baseline
         rows, summaries, session = run_sweep(
-            jobs, store, backend=backend, workers=2, chunk_size=2
+            jobs, store, workers=workers, chunk_size=2
         )
         assert rows == base_rows
         assert summaries == base_summaries
@@ -155,9 +155,10 @@ class TestWorkerMining:
 
     The capacity axis runs *descending*, so the first-mined certificate
     (highest capacity, open ray: peak occupancy 0) subsumes every later
-    one on every backend — the post-subsumption stores must therefore be
-    *equal* to serial's, not merely equivalent, regardless of how far
-    ahead a backend pulled jobs before the first certificate landed.
+    one at any worker count — the post-subsumption stores must therefore
+    be *equal* to in-process's, not merely equivalent, regardless of how
+    far ahead the executor pulled jobs before the first certificate
+    landed.
     """
 
     def jobs(self):
@@ -181,16 +182,16 @@ class TestWorkerMining:
         assert len(store) == 1
 
     @pytest.mark.parametrize(
-        "backend,extra",
+        "workers,extra",
         [
-            ("pool", {}),
-            ("shm", {}),
-            # max_retries engages the supervised executor underneath.
-            ("pool", {"max_retries": 1}),
+            (1, {}),
+            (2, {}),
+            # A non-default retry policy on the supervised worker pool.
+            (2, {"max_retries": 1}),
         ],
-        ids=("pool", "shm", "supervised"),
+        ids=("in-process", "pool", "supervised"),
     )
-    def test_cold_store_matches_serial_post_subsumption(self, backend, extra):
+    def test_cold_store_matches_serial_post_subsumption(self, workers, extra):
         jobs = self.jobs()
         base_rows, base_summaries, _ = run_sweep(jobs)
         serial_store = WitnessStore()
@@ -198,12 +199,13 @@ class TestWorkerMining:
 
         store = WitnessStore()
         rows, summaries, session = run_sweep(
-            jobs, store, backend=backend, workers=2, chunk_size=2, **extra
+            jobs, store, workers=workers, chunk_size=2, **extra
         )
         assert rows == base_rows
         assert summaries == base_summaries
-        # Summary-only streams ship no results, so a nonzero mined count
-        # can only have come through the worker-side witness payloads.
+        # Summary-only streams with workers ship no results, so there a
+        # nonzero mined count can only have come through the worker-side
+        # witness payloads.
         assert session.witness_mined == 1
         assert self.dump(store) == self.dump(serial_store)
 
