@@ -1,31 +1,37 @@
-"""Sweep throughput at scale: in-process vs supervised workers.
+"""Sweep throughput at scale, and what one sweep job costs.
 
-The workload is a queue-rich provisioning configuration (many
-:class:`HardwareQueue` stats objects, a full assignment trace) whose
-*full* :class:`SimulationResult` costs about as much to pickle +
-unpickle through the worker pipe as the simulation itself costs to run.
-For a full-result sweep:
+The workload is a queue-rich provisioning corner: a 32-cell relay chain
+on 48 queues per link, run with full :class:`SimulationResult` handles.
+The simulator builds a queue only at its first grant and the result
+keeps statistics for the built queues only, so this job costs about
+what the same job costs at one queue per link, and its pickled result
+is a few KB whatever the provisioning. For a full-result sweep:
 
 * ``workers=1`` runs and materializes everything in-process (no pipe);
 * ``workers=2`` runs supervised worker processes, which ship every full
-  result back through their pipes — the pipe-bound regime.
+  result back through their pipes.
 
 Rows/sec at 1k and 10k jobs is recorded into ``BENCH_core.json`` as
 ``sweep_rows_{serial,pool}_{1k,10k}``; the record keys predate the
 single multiprocess executor, and ``pool`` names the ``workers=2`` path.
+``sim_job_chain32_q{1,48}`` records the split of one job into simulator
+build, event loop and pickled result size at 1 and 48 queues per link.
 Smoke mode (CI, ``--benchmark-disable``) runs a small sweep and checks
-only that both paths produce the same rows.
+only that both paths produce the same rows, and that the 48-queue
+result pickles no larger than a small multiple of the 1-queue one.
 
 Note the host caveat: on a single-core box the workers' parallelism
 cannot hide any of the pipe's serialization, so the ``workers=2``
 numbers there are a *floor*.
 """
 
+import pickle
+import statistics
 import time
 
 from conftest import recording_enabled
 
-from repro import ArrayConfig
+from repro import ArrayConfig, Simulator
 from repro.core.message import Message
 from repro.core.ops import R, W
 from repro.core.program import ArrayProgram
@@ -49,11 +55,10 @@ def chain_program(n_cells: int) -> ArrayProgram:
 
 
 def sweep_jobs_for(n_jobs: int) -> list[SimJob]:
-    # A queue-rich provisioning corner: 31 links x 48 queues puts ~1.5k
-    # QueueStats objects in every result, so the full-result payload
-    # (~86 KB pickled) costs roughly as much to ship + rebuild through
-    # a worker pipe as the simulation costs to run. Chosen for
-    # measurement stability over maximum ratio.
+    # A queue-rich provisioning corner: 31 links x 48 queues, of which
+    # the run grants one queue per link. Queues are built on first grant
+    # and the result carries stats for those 31 only, so the job's cost
+    # and its pickled size track its 124 events, not its 1,488 queues.
     program = chain_program(32)
     config = ArrayConfig(queues_per_link=48)
     return [SimJob(program, config=config) for _ in range(n_jobs)]
@@ -123,4 +128,50 @@ def test_sweep_scale_rows_per_sec(core_metrics):
         print(
             f"[sweep {tag}] workers=1: {n_jobs/walls['serial']:.0f} "
             f"workers=2: {n_jobs/walls['pool']:.0f} rows/s"
+        )
+
+
+def job_split(queues: int, reps: int) -> dict:
+    """Median build and event-loop ms of one chain job, and its result KB."""
+    program = chain_program(32)
+    config = ArrayConfig(queues_per_link=queues)
+    Simulator(program, config=config).run()  # warm the analysis cache
+    build, run = [], []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        sim = Simulator(program, config=config)
+        t1 = time.perf_counter()
+        result = sim.run()
+        run.append(time.perf_counter() - t1)
+        build.append(t1 - t0)
+    assert result.completed
+    return {
+        "events": result.events,
+        "build_ms": statistics.median(build) * 1e3,
+        "run_ms": statistics.median(run) * 1e3,
+        "result_kb": len(pickle.dumps(result)) / 1024,
+    }
+
+
+def test_job_split_build_run_result(core_metrics):
+    """Record one job's build / event-loop / pickled-result split."""
+    reps = 300 if recording_enabled() else 5
+    splits = {queues: job_split(queues, reps) for queues in (1, 48)}
+    # Untouched queues are neither built nor pickled (deterministic).
+    assert splits[48]["result_kb"] < 2 * splits[1]["result_kb"]
+    for queues, split in splits.items():
+        seconds = (split["build_ms"] + split["run_ms"]) / 1e3
+        core_metrics(
+            f"sim_job_chain32_q{queues}",
+            events=split["events"],
+            seconds=seconds,
+            build_ms=round(split["build_ms"], 3),
+            run_ms=round(split["run_ms"], 3),
+            result_kb=round(split["result_kb"], 2),
+            reps=reps,
+        )
+        print(
+            f"[job q={queues}] build {split['build_ms']:.3f} ms, "
+            f"run {split['run_ms']:.3f} ms, "
+            f"result {split['result_kb']:.1f} KB"
         )

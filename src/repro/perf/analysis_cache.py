@@ -52,6 +52,7 @@ from repro.core.crossing import LookaheadConfig, route_capacities
 from repro.core.labeling import Labeling, constraint_labeling
 from repro.core.program import ArrayProgram
 from repro.core.requirements import competing_messages
+from repro.errors import DeadlockedProgramError
 
 _FINGERPRINT_ATTR = "_perf_fingerprint"
 
@@ -157,7 +158,11 @@ class AnalysisEntry:
     * ``competing`` — link -> tuple of competing message names;
     * ``capacities`` — the derived :class:`LookaheadConfig` (or ``None``
       for unbuffered, no-extension configs);
-    * ``labeling`` — the constraint labeling (frozen dataclass);
+    * ``labeling`` — the constraint labeling (frozen dataclass). When the
+      program is deadlocked under this entry's lookahead, the failure is
+      remembered instead (in memory only, never exported to a persistent
+      tier) and each later read raises a fresh
+      :class:`~repro.errors.DeadlockedProgramError` with the same message;
     * ``ordered_groups`` — link -> per-label groups, precomputed for the
       ordered policy's setup.
     """
@@ -174,6 +179,7 @@ class AnalysisEntry:
         "_capacities",
         "_has_capacities",
         "_labeling",
+        "_labeling_error",
         "_ordered_groups",
         "_disk_synced",
         "_shm_synced",
@@ -200,6 +206,7 @@ class AnalysisEntry:
         self._capacities: LookaheadConfig | None = None
         self._has_capacities = False
         self._labeling: Labeling | None = None
+        self._labeling_error: tuple | None = None
         self._ordered_groups: dict[Link, tuple[tuple[str, ...], ...]] | None = None
         # True while the disk tier (if any) already holds everything this
         # entry has computed; any fresh computation clears it. The shm
@@ -260,12 +267,19 @@ class AnalysisEntry:
         """The constraint labeling under this entry's lookahead."""
         if self._labeling is None:
             with self._lock:
+                if self._labeling_error is not None:
+                    raise DeadlockedProgramError(*self._labeling_error)
                 if self._labeling is None:
+                    try:
+                        labeling = constraint_labeling(
+                            self._program, lookahead=self.capacities
+                        )
+                    except DeadlockedProgramError as exc:
+                        self._labeling_error = exc.args
+                        raise
                     self._disk_synced = False
                     self._shm_synced = False
-                    self._labeling = constraint_labeling(
-                        self._program, lookahead=self.capacities
-                    )
+                    self._labeling = labeling
         return self._labeling
 
     def ordered_groups(

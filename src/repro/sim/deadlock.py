@@ -71,7 +71,8 @@ def build_wait_graph(sim: "Simulator") -> dict[str, set[str]]:
             link = flow.route[hop]
             state = sim.manager.links.get(link)
             if state is not None:
-                for q in state.queues:
+                # Unbuilt queues were never granted, so hold no message.
+                for q in state.built():
                     if q.assigned is None:
                         continue
                     holder_flow = sim.flows[q.assigned]

@@ -16,6 +16,16 @@ is the baseline that reproduces the queue-induced deadlocks of Figs. 7-9.
 Per-link policy state lives directly on the :class:`LinkState` (the
 ``policy_data`` slot) rather than in ``Link``-keyed side tables, so the
 assignment hot path performs no hashing.
+
+Queues are built lazily: a link state knows how many queues the config
+provisions, but builds a link's :class:`HardwareQueue` only the first
+time that queue is granted. Until then a queue is just an index in the
+link's free list. Never-granted indices sit in ascending order ahead of
+released queues, which rejoin in release order, so FCFS and ordered
+grants pick exactly the queue an eagerly built free list would have
+picked. A queue that was never built has never held a message, so
+nothing but the result's zero statistics can tell it apart from a built
+idle one; a 48-queue link that carries two messages costs two queues.
 """
 
 from __future__ import annotations
@@ -65,21 +75,47 @@ class AssignmentEvent:
 
 
 class LinkState:
-    """Mutable per-link assignment state shared with the policy."""
+    """Mutable per-link assignment state shared with the policy.
 
-    __slots__ = ("link", "queues", "free", "granted_ever", "policy_data")
+    ``count`` queues are provisioned; ``slots[i]`` is queue ``i`` once it
+    has been built (``None`` before its first grant) and ``free`` lists
+    the indices of the queues that are not carrying a message.
+    """
 
-    def __init__(self, link: Link, queues: list[HardwareQueue]) -> None:
+    __slots__ = (
+        "link", "count", "slots", "free", "granted_ever", "policy_data",
+        "_make_queue",
+    )
+
+    def __init__(
+        self,
+        link: Link,
+        count: int,
+        make_queue: Callable[[Link, int], HardwareQueue],
+    ) -> None:
         self.link = link
-        self.queues = queues
-        self.free: list[HardwareQueue] = list(queues)
+        self.count = count
+        self.slots: list[HardwareQueue | None] = [None] * count
+        self.free: list[int] = list(range(count))
         self.granted_ever: set[str] = set()
         self.policy_data: object = None
+        self._make_queue = make_queue
+
+    def queue(self, index: int) -> HardwareQueue:
+        """Queue ``index`` of this link, built on first use."""
+        queue = self.slots[index]
+        if queue is None:
+            queue = self.slots[index] = self._make_queue(self.link, index)
+        return queue
+
+    def built(self) -> list[HardwareQueue]:
+        """The queues built so far, by index."""
+        return [queue for queue in self.slots if queue is not None]
 
     def take_free(self) -> HardwareQueue:
         if not self.free:
             raise SimulationError(f"no free queue on {self.link}")
-        return self.free.pop(0)
+        return self.queue(self.free.pop(0))
 
 
 class AssignmentPolicy(ABC):
@@ -173,10 +209,10 @@ class OrderedPolicy(AssignmentPolicy):
             groups = label_groups(competing, labeling)
         if self.strict:
             for group in groups:
-                if len(group) > len(state.queues):
+                if len(group) > state.count:
                     raise ConfigError(
                         f"link {state.link}: same-label group {list(group)} needs "
-                        f"{len(group)} queues, only {len(state.queues)} exist "
+                        f"{len(group)} queues, only {state.count} exist "
                         f"(Theorem 1 assumption (ii))"
                     )
         state.policy_data = _OrderedLinkData(groups)
@@ -213,7 +249,8 @@ class StaticPolicy(AssignmentPolicy):
     """Section 7's static scheme: a dedicated queue per competing message.
 
     Assignment is fixed before execution; every request is granted
-    immediately from the precomputed map. Requires enough queues on every
+    immediately from the precomputed message-to-index map (the queue
+    itself is built at that first grant). Requires enough queues on every
     link (checked at setup) — and is then automatically compatible with
     any consistent labeling, so Theorem 1 applies with no run-time rules.
     """
@@ -221,19 +258,16 @@ class StaticPolicy(AssignmentPolicy):
     name = "static"
 
     def setup_link(self, state, competing, labeling, groups=None) -> None:
-        if len(competing) > len(state.queues):
+        if len(competing) > state.count:
             raise ConfigError(
                 f"link {state.link}: static assignment needs "
                 f"{len(competing)} queues for {list(competing)}, only "
-                f"{len(state.queues)} exist"
+                f"{state.count} exist"
             )
-        state.policy_data = {
-            name: state.queues[i] for i, name in enumerate(competing)
-        }
+        state.policy_data = {name: i for i, name in enumerate(competing)}
 
     def on_request(self, manager, state, req) -> None:
-        queue = state.policy_data[req.message]
-        manager.grant(state, req, queue)
+        manager.grant(state, req, state.policy_data[req.message])
 
     def on_release(self, manager, state) -> None:
         pass  # reservations never move
@@ -269,13 +303,17 @@ class QueueManager:
     def add_link(
         self,
         link: Link,
-        queues: list[HardwareQueue],
+        count: int,
+        make_queue: Callable[[Link, int], HardwareQueue],
         competing: Sequence[str],
         labeling: "Labeling | None",
         groups: LabelGroups | None = None,
     ) -> None:
-        """Register a link and let the policy prepare it."""
-        state = LinkState(link, queues)
+        """Register a link of ``count`` queues and let the policy prepare it.
+
+        ``make_queue(link, index)`` builds a queue at its first grant.
+        """
+        state = LinkState(link, count, make_queue)
         self.links[link] = state
         self.policy.setup_link(state, competing, labeling, groups)
 
@@ -288,13 +326,18 @@ class QueueManager:
         self,
         state: LinkState,
         req: Request,
-        queue: HardwareQueue | None = None,
+        index: int | None = None,
     ) -> None:
-        """Bind a queue to the request's message and notify the flow."""
-        if queue is None:
+        """Bind a queue to the request's message and notify the flow.
+
+        Grants queue ``index`` when given, else the first free queue.
+        """
+        if index is None:
             queue = state.take_free()
-        elif queue in state.free:
-            state.free.remove(queue)
+        else:
+            queue = state.queue(index)
+            if index in state.free:
+                state.free.remove(index)
         msg = req.flow.message
         queue.assign(msg.name, msg.length)
         state.granted_ever.add(msg.name)
@@ -308,7 +351,7 @@ class QueueManager:
         state = self.links[queue.link]
         message = queue.assigned or "?"
         queue.release()
-        state.free.append(queue)
+        state.free.append(queue.index)
         self.trace.append(
             AssignmentEvent(self.clock(), "release", state.link, queue.index, message)
         )

@@ -15,11 +15,20 @@ sweep sessions skip re-analysis entirely. Custom router/topology
 subclasses are automatically excluded from sharing unless they expose an
 ``analysis_fingerprint`` token (see :mod:`repro.perf.analysis_cache`);
 ``reuse_analysis=False`` disables sharing entirely.
+
+A job's cost follows its events, not its provisioning. Building a
+simulator registers each used link with its provisioned queue count and
+a queue factory, but builds no :class:`HardwareQueue`; the queue manager
+builds a queue at its first grant (:mod:`repro.sim.queue_manager`). The
+result's ``queue_stats`` is a read-only view that still lists every
+provisioned queue, with zero statistics for the ones never built
+(:mod:`repro.sim.result`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 
 from repro.arch.config import ArrayConfig, CommModel
 from repro.arch.links import Link
@@ -35,7 +44,7 @@ from repro.sim.agents import CellAgent, ForwarderAgent, MessageFlow, _Agent
 from repro.sim.deadlock import diagnose
 from repro.sim.engine import WHEEL_HORIZON, Engine, StopReason
 from repro.sim.queue_manager import AssignmentPolicy, QueueManager, make_policy
-from repro.sim.result import SimulationResult
+from repro.sim.result import QueueStatsView, SimulationResult
 
 
 def wheel_horizon_for(program: ArrayProgram, config: ArrayConfig) -> int:
@@ -180,20 +189,17 @@ class Simulator:
         for flow in self.flows.values():
             used_links.update(flow.route)
         cfg = self.config
+        make_queue = partial(
+            HardwareQueue,
+            capacity=cfg.queue_capacity,
+            extension_allowed=cfg.allow_extension,
+            extension_penalty=cfg.extension_penalty,
+        )
         for link in sorted(used_links):
-            queues = [
-                HardwareQueue(
-                    link,
-                    index,
-                    capacity=cfg.queue_capacity,
-                    extension_allowed=cfg.allow_extension,
-                    extension_penalty=cfg.extension_penalty,
-                )
-                for index in range(cfg.queues_on(link))
-            ]
             self.manager.add_link(
                 link,
-                queues,
+                cfg.queues_on(link),
+                make_queue,
                 competing.get(link, ()),
                 self.labeling,
                 groups_table.get(link) if groups_table is not None else None,
@@ -245,10 +251,14 @@ class Simulator:
         cycle: list[str] | None = None
         if deadlocked:
             blocked, cycle = diagnose(self)
-        queue_stats = {}
-        for state in self.manager.links.values():
-            for queue in state.queues:
-                queue_stats[str(queue)] = queue.stats
+        queue_stats = QueueStatsView(
+            (
+                state.link,
+                state.count,
+                {queue.index: queue.stats for queue in state.built()},
+            )
+            for state in self.manager.links.values()
+        )
         return SimulationResult(
             completed=completed,
             deadlocked=deadlocked,

@@ -39,6 +39,7 @@ import hashlib
 import os
 import pickle
 import tempfile
+from pathlib import Path
 from typing import Sequence
 
 from repro.errors import CheckpointError
@@ -102,7 +103,7 @@ def _load_raw(path: str) -> tuple[dict | None, bool]:
     rejected loads instead of conflating them with absence.
     """
     try:
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
     except FileNotFoundError:
         return None, False
     except OSError:

@@ -271,8 +271,9 @@ def mine_witness(
 
     cycle = _canonical_cycle(result.wait_cycle)
     cells, messages = _cycle_members(cycle, result.blocked)
+    # Queues the run never built have zero stats and cannot raise the max.
     peak = max(
-        (stats.peak_occupancy for stats in result.queue_stats.values()),
+        (stats.peak_occupancy for stats in result.queue_stats.built()),
         default=0,
     )
     return DeadlockWitness(

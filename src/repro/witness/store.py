@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from pathlib import Path
 from typing import Iterator
 
 from repro.witness.certificate import DeadlockWitness, witness_scope
@@ -77,7 +78,7 @@ class WitnessStore:
 
     def _load(self) -> None:
         try:
-            blob = open(self.path, "rb").read()
+            blob = Path(self.path).read_bytes()
         except FileNotFoundError:
             return  # absent is the normal cold-start case, not an error
         except OSError:

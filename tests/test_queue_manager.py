@@ -36,8 +36,8 @@ LINK = Link("C1", "C2")
 
 def manager_with(policy, n_queues: int, competing, labeling=None, capacity=4):
     mgr = QueueManager(policy, clock=lambda: 0)
-    queues = [HardwareQueue(LINK, i, capacity) for i in range(n_queues)]
-    mgr.add_link(LINK, queues, competing, labeling)
+    make_queue = lambda link, i: HardwareQueue(link, i, capacity)  # noqa: E731
+    mgr.add_link(LINK, n_queues, make_queue, competing, labeling)
     return mgr
 
 
